@@ -23,22 +23,31 @@
 //! `u128`), so long phases suffer no floating-point precision loss —
 //! an `f64` clock silently drops picoseconds past 2⁵³ ps.
 //!
-//! Two consumption forms exist over the same beat body:
+//! Both consumption forms share **one stepper** over one scalar beat
+//! body:
 //!
-//! * [`run_phase`] drives a whole phase to completion, choosing the
-//!   event-driven skip-ahead loop or the scalar reference pipeline by
-//!   [`ServicePath`];
 //! * [`ResumablePhase`] holds a phase **open between beats** so an
 //!   external scheduler (the `tenancy` service) can interleave many
-//!   concurrent phases on one shared [`MemorySystem`], stepping exactly
-//!   one beat at a time. A single resumable phase stepped to completion
-//!   is bit-identical to [`run_phase`] — the scalar beat body is the
-//!   authoritative pacing law on both paths, and the fused spans are
-//!   differentially proven equal to it.
+//!   concurrent phases on one shared [`MemorySystem`]. Each
+//!   [`step_until`](ResumablePhase::step_until) serves the beat the
+//!   scheduler granted and keeps going — fused spans where the memory
+//!   system can prove them, scalar beats otherwise — while the next
+//!   beat's grant is strictly before a horizon: the earliest competing
+//!   event the scheduler knows of.
+//! * [`run_phase`] is the same stepper with an unbounded horizon, so a
+//!   one-shot phase is a single call. On
+//!   [`ServicePath::Reference`](mem3d::ServicePath::Reference) the span
+//!   classifier never fuses and the stepper degenerates to the scalar
+//!   reference pipeline.
+//!
+//! A single resumable phase stepped to completion is bit-identical to
+//! [`run_phase`] at any horizon — the scalar beat body is the
+//! authoritative pacing law, and the fused spans are differentially
+//! proven equal to it.
 
 use mem3d::{
-    AddressMapKind, MemorySystem, Picos, RequestSource, RunPacing, RunServed, ServicePath,
-    SpanOutcome, Stats, TraceOp,
+    AddressMapKind, MemorySystem, Picos, RequestSource, RunPacing, RunServed, SpanOutcome, Stats,
+    TraceOp, TraceRun,
 };
 use sim_util::pool::ExclusivePool;
 
@@ -187,14 +196,13 @@ fn fs_to_picos(fs: u128) -> Picos {
 }
 
 /// Everything one phase carries between beats: the kernel clock, the
-/// read frontier, the delayed write machinery and the report
-/// accumulators. Deliberately **does not** hold the memory system or
-/// the streams — those are threaded through each call — so a phase can
-/// be suspended between beats ([`ResumablePhase`]) while many phases
-/// share one `&mut MemorySystem`. The two drive loops
-/// ([`drive_reference`], [`drive_event`]) and the resumable stepper
-/// share this state and the scalar beat body, so they differ *only* in
-/// how they pull and classify work — never in what a beat does.
+/// read frontier, the unserved rest of the current read run, the
+/// delayed write machinery and the report accumulators. Deliberately
+/// **does not** hold the memory system or the streams — those are
+/// threaded through each call — so a phase can be suspended between
+/// beats ([`ResumablePhase`]) while many phases share one
+/// `&mut MemorySystem`, and [`run_phase_in`] can drive borrowed streams
+/// through the very same [`step_until`](Self::step_until).
 struct DriverState {
     read_map: AddressMapKind,
     write_map: Option<AddressMapKind>,
@@ -224,6 +232,13 @@ struct DriverState {
     /// from a [`PhaseWorkspace`] and handed back (capacity intact) by
     /// [`finish`](Self::finish), so a warmed driver never reallocates it.
     pending: PendingWrites,
+    /// The unserved rest of the last read run pulled off the stream.
+    run: Option<TraceRun>,
+    /// Whether `run` may still fuse: set per pulled run when there is no
+    /// write side (writes need per-beat attention), cleared once the
+    /// span classifier declares the run's shape unfusable — the
+    /// amortized run-probe gate, one branch per beat after that.
+    fuse: bool,
 }
 
 impl DriverState {
@@ -251,7 +266,100 @@ impl DriverState {
             last_beat: start,
             next_write: None,
             pending,
+            run: None,
+            fuse: false,
         })
+    }
+
+    /// The current read run, pulling the next non-empty one off `reads`
+    /// once the last is used up; `None` when the read side is
+    /// exhausted. Never touches the memory system.
+    fn pull(&mut self, reads: &mut dyn RequestSource) -> Option<TraceRun> {
+        while self.run.is_none() {
+            let run = reads.next_run()?;
+            if run.beats > 0 {
+                self.run = Some(run);
+                self.fuse = run.op.bytes > 0 && self.write_map.is_none();
+            }
+        }
+        self.run
+    }
+
+    /// Drops the first `beats` beats of the current run.
+    fn consume(&mut self, beats: u32) {
+        if let Some(run) = &mut self.run {
+            run.beats -= beats;
+            if run.beats == 0 {
+                self.run = None;
+            } else {
+                run.op.addr += beats as u64 * run.stride;
+            }
+        }
+    }
+
+    /// Whether read burst `op`, issued next, is granted strictly before
+    /// `horizon`. A beat's grant is `max(arrival, tsv_free_at)` on the
+    /// vault it targets — the key an external scheduler orders
+    /// competing beats by. An address that fails to decode is never
+    /// due, so the scheduler's own decode reports the error.
+    fn due(&self, mem: &MemorySystem, op: TraceOp, horizon: Picos) -> bool {
+        if horizon == Picos::MAX {
+            return true;
+        }
+        mem.vault_of(self.read_map, op.addr).is_ok_and(|vault| {
+            self.next_arrive().max(mem.controller(vault).tsv_free_at()) < horizon
+        })
+    }
+
+    /// The one stepper: serves the next read beat unconditionally (the
+    /// beat a scheduler granted), then keeps serving while the next
+    /// beat's grant is strictly before `horizon` — whole spans through
+    /// [`MemorySystem::service_paced_span`] when there is no write
+    /// side, scalar beats otherwise, or where the classifier asks for
+    /// one ([`SpanOutcome::Step`]) or gives the run up
+    /// ([`SpanOutcome::Scalar`], always the answer on
+    /// [`ServicePath::Reference`](mem3d::ServicePath::Reference)).
+    /// Returns the latest completion among the served beats, or `None`
+    /// when the read side is exhausted.
+    fn step_until(
+        &mut self,
+        mem: &mut MemorySystem,
+        reads: &mut dyn RequestSource,
+        mut writes: Option<&mut (dyn RequestSource + '_)>,
+        horizon: Picos,
+    ) -> Result<Option<Picos>, Fft2dError> {
+        let Some(run) = self.pull(reads) else {
+            return Ok(None);
+        };
+        let mut done = self.scalar_beat(mem, writes.as_deref_mut(), run.op)?;
+        self.consume(1);
+        // No grant is ever before time zero.
+        if horizon == Picos::ZERO {
+            return Ok(Some(done));
+        }
+        while let Some(run) = self.pull(reads) {
+            if self.fuse && run.beats > 1 {
+                let probe_beat = self.probe_beat(run.op.bytes, run.beats);
+                let pacing = self.pacing(run.op.bytes, probe_beat, horizon);
+                match mem.service_paced_span(self.read_map, run, &pacing) {
+                    SpanOutcome::Served(served) if served.beats == 0 => break,
+                    SpanOutcome::Served(served) => {
+                        self.apply_served(&served, run.op.bytes);
+                        done = done.max(served.last_done);
+                        self.consume(served.beats);
+                        continue;
+                    }
+                    SpanOutcome::Step => {}
+                    SpanOutcome::Scalar => self.fuse = false,
+                }
+            }
+            if !self.due(mem, run.op, horizon) {
+                break;
+            }
+            done = done.max(self.scalar_beat(mem, writes.as_deref_mut(), run.op)?);
+            self.consume(1);
+        }
+        Ok(Some(done))
     }
 
     /// When the *next* read burst will be issued: the prefetch window
@@ -325,19 +433,24 @@ impl DriverState {
             .saturating_sub(self.consumed)
             .div_ceil(bytes as u64)
             .max(1);
-        (nb <= beats as u64).then(|| nb - 1)
+        if nb <= beats as u64 {
+            Some(nb - 1)
+        } else {
+            None
+        }
     }
 
     /// The pacing law handed to the memory system's fused span loops —
     /// exactly the arithmetic [`scalar_beat`](Self::scalar_beat) applies
     /// per beat, packaged as registers.
-    fn pacing(&self, op_bytes: u32, probe_beat: Option<u64>) -> RunPacing {
+    fn pacing(&self, op_bytes: u32, probe_beat: Option<u64>, horizon: Picos) -> RunPacing {
         RunPacing {
             t_kernel_fs: self.t_kernel_fs,
             window_fs: self.window_fs,
             op_fs: op_bytes as u128 * self.rate_fs,
             floor: self.start,
             probe_beat,
+            horizon,
         }
     }
 
@@ -393,62 +506,6 @@ impl DriverState {
     }
 }
 
-/// The authoritative pipeline: one burst at a time through the scalar
-/// beat body, pulled per-op — the historical driver, kept verbatim for
-/// the [`ServicePath::Reference`] path.
-fn drive_reference(
-    d: &mut DriverState,
-    mem: &mut MemorySystem,
-    reads: &mut dyn RequestSource,
-    mut write_src: Option<&mut (dyn RequestSource + '_)>,
-) -> Result<(), Fft2dError> {
-    for op in &mut *reads {
-        d.scalar_beat(mem, write_src.as_deref_mut(), op)?;
-    }
-    Ok(())
-}
-
-/// The event-driven skip-ahead loop: reads are pulled run-granular and
-/// each remainder is classified by
-/// [`MemorySystem::service_paced_span`] — a fused span advances the
-/// clock in one pass, a contention boundary steps exactly one scalar
-/// beat before reclassifying, and a structurally unfusable run drops
-/// its probe flag so the rest expands through the scalar body at one
-/// branch per run, not a failed fusion attempt per beat (the
-/// amortized run-probe gate that caused the optimized-arch
-/// pessimization this core replaces). Runs are only probed when
-/// nothing needs per-beat attention, i.e. there is no write side.
-fn drive_event(
-    d: &mut DriverState,
-    mem: &mut MemorySystem,
-    reads: &mut dyn RequestSource,
-    mut write_src: Option<&mut (dyn RequestSource + '_)>,
-) -> Result<(), Fft2dError> {
-    while let Some(mut run) = reads.next_run() {
-        let mut probe = run.op.bytes > 0 && write_src.is_none();
-        while run.beats > 0 {
-            if probe && run.beats > 1 {
-                let probe_beat = d.probe_beat(run.op.bytes, run.beats);
-                let pacing = d.pacing(run.op.bytes, probe_beat);
-                match mem.service_paced_span(d.read_map, run, &pacing) {
-                    SpanOutcome::Served(served) => {
-                        d.apply_served(&served, run.op.bytes);
-                        run.op.addr += served.beats as u64 * run.stride;
-                        run.beats -= served.beats;
-                        continue;
-                    }
-                    SpanOutcome::Step => {}
-                    SpanOutcome::Scalar => probe = false,
-                }
-            }
-            d.scalar_beat(mem, write_src.as_deref_mut(), run.op)?;
-            run.op.addr += run.stride;
-            run.beats -= 1;
-        }
-    }
-    Ok(())
-}
-
 /// The next read burst a [`ResumablePhase`] would issue, and when —
 /// what an external arbiter needs to decide which of several contending
 /// phases gets the next grant.
@@ -463,26 +520,33 @@ pub struct PendingBeat {
 }
 
 /// One phase held **open between beats**: the same driver state, streams
-/// and scalar beat body as [`run_phase`], but with the memory system
-/// threaded per call instead of borrowed for the whole phase — so an
-/// external scheduler (the `tenancy` service) can interleave many
-/// concurrent phases on one shared [`MemorySystem`], one beat at a time.
+/// and stepper as [`run_phase`], but with the memory system threaded per
+/// call instead of borrowed for the whole phase — so an external
+/// scheduler (the `tenancy` service) can interleave many concurrent
+/// phases on one shared [`MemorySystem`].
 ///
-/// The protocol is peek → step → … → finish:
+/// The protocol is peek → step_until → … → finish:
 ///
 /// * [`peek`](Self::peek) exposes the next read burst and its arrival
 ///   time without touching the memory system;
-/// * [`step`](Self::step) executes exactly one scalar beat (releasing
-///   any due delayed writes first, exactly as `run_phase` would);
-/// * when `step` returns `Ok(None)` the read side is exhausted and
+/// * [`step_until`](Self::step_until) serves that burst (releasing any
+///   due delayed writes first, exactly as `run_phase` would), then
+///   keeps serving — fused spans where the memory system proves them —
+///   while the next burst's grant, `max(arrival, tsv_free_at)` on its
+///   vault, is strictly before the given horizon. A scheduler that
+///   passes the earliest competing event it knows of gets exactly the
+///   beats it would have granted this phase one at a time.
+///   [`step`](Self::step) is the one-beat case;
+/// * when stepping returns `Ok(None)` the read side is exhausted and
 ///   [`finish`](Self::finish) drains the write tail and assembles the
 ///   [`PhaseReport`].
 ///
 /// A single resumable phase stepped to completion on an otherwise idle
-/// memory system is **bit-identical** to the same phase through
-/// [`run_phase`] — the property suite in `crates/tenancy` proves it
-/// across layouts and sizes. Note the report's byte/activation counters
-/// are measured as a delta on the shared system's statistics, so under
+/// memory system, at any horizons, is **bit-identical** to the same
+/// phase through [`run_phase`] — the property suite in `crates/tenancy`
+/// proves it across layouts and sizes. Note the report's
+/// byte/activation counters are measured as a delta on the shared
+/// system's statistics, so under
 /// concurrent tenants they include interleaved foreign traffic; the
 /// timing fields (`start`, `end`, `probe_done`) are always exact
 /// per-phase values.
@@ -491,7 +555,6 @@ pub struct ResumablePhase<'s> {
     before: Stats,
     reads: Box<dyn RequestSource + 's>,
     writes: Option<Box<dyn RequestSource + 's>>,
-    peeked: Option<TraceOp>,
     read_total: u64,
     write_total: u64,
 }
@@ -546,7 +609,6 @@ impl<'s> ResumablePhase<'s> {
             write_total: writes.as_ref().map_or(0, |w| w.total_bytes()),
             reads,
             writes,
-            peeked: None,
         })
     }
 
@@ -565,38 +627,50 @@ impl<'s> ResumablePhase<'s> {
 
     /// The next read burst and its arrival time, or `None` when the
     /// read side is exhausted (call [`finish`](Self::finish)). Pulls at
-    /// most one op off the read stream; never touches the memory
+    /// most one run off the read stream; never touches the memory
     /// system, so peeking is free to repeat between grants.
     pub fn peek(&mut self) -> Option<PendingBeat> {
-        if self.peeked.is_none() {
-            self.peeked = self.reads.next();
-        }
-        let op = self.peeked?;
+        let run = self.state.pull(&mut *self.reads)?;
         Some(PendingBeat {
             arrive: self.state.next_arrive(),
-            op,
+            op: run.op,
         })
     }
 
-    /// Executes exactly one scalar beat against `mem`, returning the
-    /// read burst's completion time — or `Ok(None)` when the read side
-    /// is exhausted and the phase is ready to [`finish`](Self::finish).
+    /// Serves the next read burst against `mem`, then keeps serving
+    /// while the following burst's grant — `max(arrival, tsv_free_at)`
+    /// on the vault it targets — is strictly before `horizon`
+    /// ([`Picos::MAX`] runs the phase's read side to the end). Returns
+    /// the latest completion among the served bursts, or `Ok(None)`
+    /// when the read side is exhausted and the phase is ready to
+    /// [`finish`](Self::finish).
+    ///
+    /// Every burst is served exactly as a one-at-a-time
+    /// [`step`](Self::step) would serve it; the horizon only decides how
+    /// many are served per call.
     ///
     /// # Errors
     ///
     /// Returns [`Fft2dError::Mem`] if a request fails to decode.
     // simlint::entry(hot_path)
+    pub fn step_until(
+        &mut self,
+        mem: &mut MemorySystem,
+        horizon: Picos,
+    ) -> Result<Option<Picos>, Fft2dError> {
+        self.state
+            .step_until(mem, &mut *self.reads, self.writes.as_deref_mut(), horizon)
+    }
+
+    /// Serves exactly one read burst:
+    /// [`step_until`](Self::step_until) with a horizon no grant is
+    /// before.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Fft2dError::Mem`] if a request fails to decode.
     pub fn step(&mut self, mem: &mut MemorySystem) -> Result<Option<Picos>, Fft2dError> {
-        if self.peeked.is_none() {
-            self.peeked = self.reads.next();
-        }
-        let Some(op) = self.peeked.take() else {
-            return Ok(None);
-        };
-        let done = self
-            .state
-            .scalar_beat(mem, self.writes.as_deref_mut(), op)?;
-        Ok(Some(done))
+        self.step_until(mem, Picos::ZERO)
     }
 
     /// Drains the write tail and assembles the [`PhaseReport`], exactly
@@ -653,11 +727,14 @@ impl<'s> ResumablePhase<'s> {
 /// row-buffer state across calls — phase 2 genuinely inherits phase 1's
 /// open rows.
 ///
-/// On the [`ServicePath::Fast`] path the reads are driven through the
-/// event core ([`drive_event`]); on [`ServicePath::Reference`] through
-/// the historical per-op pipeline ([`drive_reference`]). The two are
-/// bit-identical in every observable — the differential harness proves
-/// it — so the path choice is purely a simulation-speed knob.
+/// The reads are driven by the same stepper as
+/// [`ResumablePhase::step_until`], with an unbounded horizon: on the
+/// [`ServicePath::Fast`](mem3d::ServicePath::Fast) path it fuses
+/// whatever spans the memory system can prove, on
+/// [`ServicePath::Reference`](mem3d::ServicePath::Reference) it serves
+/// every burst through the scalar beat body. The two are bit-identical
+/// in every observable — the differential harness proves it — so the
+/// path choice is purely a simulation-speed knob.
 ///
 /// # Errors
 ///
@@ -705,11 +782,10 @@ pub fn run_phase_in(
         None => (None, None),
     };
     let mut state = DriverState::new(cfg, read_map, write_map, start, ws.take_pending())?;
-    if mem.service_path() == ServicePath::Fast {
-        drive_event(&mut state, mem, reads, write_src.as_deref_mut())?;
-    } else {
-        drive_reference(&mut state, mem, reads, write_src.as_deref_mut())?;
-    }
+    while state
+        .step_until(mem, reads, write_src.as_deref_mut(), Picos::MAX)?
+        .is_some()
+    {}
     let (report, pending) = state.finish(mem, write_src, before)?;
     ws.put_pending(pending);
     Ok(report)
@@ -957,6 +1033,58 @@ mod tests {
         let got = phase.finish(&mut mem2).unwrap();
         assert_eq!(got, expected);
         assert_eq!(mem2.stats(), mem.stats());
+    }
+
+    #[test]
+    fn step_until_matches_run_phase_at_any_horizon() {
+        // Horizons scattered around the next beat's arrival cut fused
+        // spans and scalar stretches at arbitrary beats; however the
+        // phase is sliced, it must equal the one-shot driver.
+        use sim_util::{prop_assert_eq, prop_check};
+        prop_check!(cases: 16, |rng| {
+            let (mut mem, p) = setup([64, 256][rng.gen_range(0usize..2)]);
+            let l = if rng.gen_bool() {
+                RowMajor::new(&p)
+            } else {
+                RowMajor::interleaved(&p)
+            };
+            let with_writes = rng.gen_bool();
+            let expected = run_phase(
+                &mut mem,
+                &driver(),
+                &mut col_phase_stream(&l, Direction::Read, 1),
+                l.map_kind(),
+                with_writes.then_some((
+                    &mut row_phase_stream(&l, Direction::Write) as &mut dyn RequestSource,
+                    l.map_kind(),
+                )),
+                Picos::ZERO,
+            )
+            .unwrap();
+
+            let (mut mem2, _) = setup(l.n());
+            let writes: Option<(Box<dyn RequestSource>, _)> = with_writes
+                .then(|| (Box::new(row_phase_stream(&l, Direction::Write)) as _, l.map_kind()));
+            let mut phase = ResumablePhase::new(
+                &mem2,
+                &driver(),
+                Box::new(col_phase_stream(&l, Direction::Read, 1)),
+                l.map_kind(),
+                writes,
+                Picos::ZERO,
+            )
+            .unwrap();
+            while let Some(next) = phase.peek() {
+                let horizon = match rng.gen_range(0usize..16) {
+                    0 => Picos::MAX,
+                    1..=3 => Picos::ZERO,
+                    _ => next.arrive + Picos(rng.gen_range(0u64..100_000)),
+                };
+                phase.step_until(&mut mem2, horizon).unwrap();
+            }
+            prop_assert_eq!(phase.finish(&mut mem2).unwrap(), expected);
+            prop_assert_eq!(mem2.stats(), mem.stats());
+        });
     }
 
     #[test]

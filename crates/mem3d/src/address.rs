@@ -366,9 +366,9 @@ impl AddressMap {
     /// anything else — strides that are not whole rows, or strides that
     /// hop vaults/banks under this interleaving. `None` is not final:
     /// the span classifier (`MemorySystem::service_paced_span`) still
-    /// fuses row-multiple strides that hop banks as cross-bank
-    /// interleaved spans; this probe only decides whether the run stays
-    /// in one bank.
+    /// fuses row-multiple strides that hop banks, and strides dividing
+    /// the row, as per-beat spans; this probe only decides whether the
+    /// run stays in one bank.
     pub fn stride_run_location(
         &self,
         addr: u64,

@@ -15,6 +15,12 @@ const FS_PER_PS: u128 = 1_000;
 /// arithmetic: beat arrivals are
 /// `max(floor, (t_kernel_fs − window_fs) / 1000 ps)`, and after each
 /// beat `t_kernel_fs = max(t_kernel_fs, done·1000) + op_fs`.
+///
+/// The fused loops serve beats only while each beat's **grant** —
+/// `max(arrival, tsv_free_at)` on the vault it targets, the key an
+/// external scheduler orders competing beats by — is strictly before
+/// [`horizon`](Self::horizon); they stop before the first beat whose
+/// grant reaches it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunPacing {
     /// Kernel consumption clock (femtoseconds) when the run starts.
@@ -29,6 +35,9 @@ pub struct RunPacing {
     /// Beat index (0-based) whose completion time the driver's latency
     /// probe fires on, if it fires within this run.
     pub probe_beat: Option<u64>,
+    /// Stop before the first beat granted at or after this time
+    /// ([`Picos::MAX`] for no limit).
+    pub horizon: Picos,
 }
 
 /// What a paced run hands back to the driver: the advanced kernel clock
@@ -36,11 +45,13 @@ pub struct RunPacing {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunServed {
     /// Number of beats actually served — a prefix of the requested run
-    /// when it would have crossed into another bank.
+    /// when it would have crossed into another bank or the next beat's
+    /// grant reached [`RunPacing::horizon`]. May be zero.
     pub beats: u32,
     /// Kernel consumption clock (femtoseconds) after the served prefix.
     pub t_kernel_fs: u128,
-    /// Completion time of the prefix's last beat.
+    /// Completion time of the prefix's last beat ([`Picos::ZERO`] when
+    /// no beat was served).
     pub last_done: Picos,
     /// Completion time of [`RunPacing::probe_beat`], when requested.
     pub probe_done: Option<Picos>,
@@ -314,8 +325,12 @@ impl VaultController {
     /// single-element row misses — resolve at a few nanoseconds per
     /// beat instead of a full driver/system/controller round trip each.
     ///
-    /// The caller ([`crate::MemorySystem::service_paced_run`]) guarantees
-    /// the preconditions; they are debug-asserted here.
+    /// Beats are served only while their grant is strictly before
+    /// [`RunPacing::horizon`]; the returned [`RunServed::beats`] counts
+    /// the served prefix, which is zero when beat 0 is not due.
+    ///
+    /// The caller ([`crate::MemorySystem::service_paced_span`])
+    /// guarantees the preconditions; they are debug-asserted here.
     pub fn service_paced_run(
         &mut self,
         loc: Location,
@@ -353,11 +368,20 @@ impl VaultController {
         // activate elsewhere in the vault and a busy TSV link are all
         // honoured exactly.
         let mut t_fs = pacing.t_kernel_fs;
+        let at0 = arrive(t_fs);
+        if at0.max(self.tsv_free_at) >= pacing.horizon {
+            return RunServed {
+                beats: 0,
+                t_kernel_fs: t_fs,
+                last_done: Picos::ZERO,
+                probe_done: None,
+            };
+        }
         let out0 = self.service(Request {
             loc,
             bytes,
             dir,
-            at: arrive(t_fs),
+            at: at0,
         });
         t_fs = t_fs.max(out0.done.as_ps() as u128 * FS_PER_PS) + pacing.op_fs;
         let mut probe_done = (pacing.probe_beat == Some(0)).then_some(out0.done);
@@ -389,11 +413,16 @@ impl VaultController {
         let mut done = out0.done;
         let mut latency_sum = Picos::ZERO;
         let mut latency_max = Picos::ZERO;
-        // Last activate issued by the fused loop; `beats >= 2` means the
-        // loop always runs, so this is never read as its initial value.
+        // Last activate issued by the fused loop; read back only when the
+        // loop served a beat, so never as its initial value.
         let mut last_act = Picos::ZERO;
+        let mut served = 1;
         for i in 1..beats as u64 {
             let at = arrive(t_fs);
+            if at.max(tsv_free) >= pacing.horizon {
+                break;
+            }
+            served += 1;
             row += row_step;
             let act_start = at
                 .max(bank.next_activate_after(t.t_diff_row))
@@ -415,27 +444,30 @@ impl VaultController {
             }
         }
 
-        // Write the final state and the batched statistics delta back.
-        // `first_beat` needs no update: transfers are strictly ordered on
-        // the link, so no later beat starts before beat 0's (already
-        // recorded by `service`).
-        bank.open_row = Some(row);
-        self.banks[bank_idx] = bank;
-        self.last_vault_activate = Some((last_act, loc.layer, loc.bank));
-        self.tsv_free_at = tsv_free;
-        let extra = (beats - 1) as u64;
-        self.stats.requests += extra;
-        self.stats.activations += extra;
-        self.stats.row_misses += extra;
-        self.stats.latency_sum += latency_sum;
-        self.stats.latency_max = self.stats.latency_max.max(latency_max);
-        self.stats.last_beat = self.stats.last_beat.max(done);
-        match dir {
-            Direction::Read => self.stats.bytes_read += extra * bytes as u64,
-            Direction::Write => self.stats.bytes_written += extra * bytes as u64,
+        // Write the final state and the batched statistics delta back —
+        // only if the fused loop served anything past beat 0, whose own
+        // state `service` already recorded. `first_beat` needs no
+        // update: transfers are strictly ordered on the link, so no
+        // later beat starts before beat 0's.
+        let extra = (served - 1) as u64;
+        if extra > 0 {
+            bank.open_row = Some(row);
+            self.banks[bank_idx] = bank;
+            self.last_vault_activate = Some((last_act, loc.layer, loc.bank));
+            self.tsv_free_at = tsv_free;
+            self.stats.requests += extra;
+            self.stats.activations += extra;
+            self.stats.row_misses += extra;
+            self.stats.latency_sum += latency_sum;
+            self.stats.latency_max = self.stats.latency_max.max(latency_max);
+            self.stats.last_beat = self.stats.last_beat.max(done);
+            match dir {
+                Direction::Read => self.stats.bytes_read += extra * bytes as u64,
+                Direction::Write => self.stats.bytes_written += extra * bytes as u64,
+            }
         }
         RunServed {
-            beats,
+            beats: served,
             t_kernel_fs: t_fs,
             last_done: done,
             probe_done,
@@ -794,6 +826,7 @@ mod tests {
                 op_fs: rng.gen_range(0u64..1 << 20) as u128,
                 floor: Picos(rng.gen_range(0u64..1 << 30)),
                 probe_beat: rng.gen_bool().then(|| rng.gen_range(0u64..beats as u64)),
+                horizon: Picos::MAX,
             };
             assert_paced_matches_scalar(c, loc, bytes, dir, row_step, beats, pacing);
         });

@@ -51,7 +51,7 @@
 //! * **paced strided-run streaming** — the driver hands a whole strided
 //!   run ([`TraceRun`], from [`RequestSource::next_run`]) plus its
 //!   kernel-clock pacing law ([`RunPacing`]) to
-//!   [`MemorySystem::service_paced_run`]; when the address map proves
+//!   [`MemorySystem::service_paced_span`]; when the address map proves
 //!   every beat is a row miss in one bank with strictly ascending rows,
 //!   the controller replays the driver's exact per-beat arithmetic in a
 //!   fused register-resident loop — the paper's worst-case strided
@@ -60,11 +60,14 @@
 //! * **event-driven span classification** — the layer above:
 //!   [`MemorySystem::service_paced_span`] classifies a whole pulled run
 //!   against controller state and either fuses it (same-bank closed
-//!   form, or the cross-bank interleaved spans the optimized dynamic
-//!   layouts emit), asks the driver to step one scalar beat at a
-//!   contention boundary ([`SpanOutcome::Step`]), or declares the run
-//!   shape unfusable so the driver stops probing
-//!   ([`SpanOutcome::Scalar`] — the amortized run-probe gate).
+//!   form, or the per-beat spans the optimized dynamic layouts and the
+//!   small-N row-major column walk emit), asks the driver to step one
+//!   scalar beat at a contention boundary ([`SpanOutcome::Step`]), or
+//!   declares the run shape unfusable so the driver stops probing
+//!   ([`SpanOutcome::Scalar`] — the amortized run-probe gate). Every
+//!   fused loop stops at the pacing law's horizon
+//!   ([`RunPacing::horizon`]), which is what lets a multi-tenant
+//!   scheduler fuse one tenant's beats up to the next competing event.
 //!
 //! [`ServicePath`] selects between the fast path (the default) and the
 //! original scalar implementation; differential property tests assert

@@ -30,7 +30,8 @@ pub enum SpanOutcome {
     Step,
     /// Structurally ineligible — no position of this run will ever
     /// fuse (wrong service path, empty beats, beats that split across
-    /// rows, strides that are not whole rows). Expand the whole
+    /// rows or stride slots, strides that neither are whole rows nor
+    /// divide one). Expand the whole
     /// remainder through the scalar loop without re-probing.
     Scalar,
 }
@@ -173,6 +174,19 @@ impl MemorySystem {
             + loc.col as u64
     }
 
+    /// Checks that a non-empty `bytes`-long access at `addr` ends inside
+    /// the device. An end past `u64::MAX` is out of range too — the sum
+    /// must not wrap (or panic in debug builds).
+    fn check_range(&self, addr: u64, bytes: u64) -> Result<()> {
+        match addr.checked_add(bytes - 1) {
+            Some(end) if end < self.capacity => Ok(()),
+            end => Err(Error::OutOfRange {
+                addr: end.unwrap_or(u64::MAX),
+                capacity: self.capacity,
+            }),
+        }
+    }
+
     /// Serves one request, splitting it at row boundaries if needed.
     /// The continuation row is the *next row of the same bank*, so the
     /// request must fit within its bank.
@@ -301,13 +315,7 @@ impl MemorySystem {
         if op.bytes == 0 {
             return Err(Error::BadRequest("zero-length request".into()));
         }
-        let end = op.addr + op.bytes as u64 - 1;
-        if end >= self.capacity {
-            return Err(Error::OutOfRange {
-                addr: end,
-                capacity: self.capacity,
-            });
-        }
+        self.check_range(op.addr, op.bytes as u64)?;
         let loc = self.maps[map_kind.index()].decode(op.addr)?;
         let row_bytes = self.geom.row_bytes;
         let in_row = row_bytes - loc.col as usize;
@@ -372,13 +380,7 @@ impl MemorySystem {
             return Err(Error::BadRequest("zero-length request".into()));
         }
         let map = AddressMap::reference(map_kind, self.geom);
-        let end = addr + bytes as u64 - 1;
-        if end >= self.geom.capacity_bytes() {
-            return Err(Error::OutOfRange {
-                addr: end,
-                capacity: self.geom.capacity_bytes(),
-            });
-        }
+        self.check_range(addr, bytes as u64)?;
         // Split at row boundaries so each fragment decodes contiguously.
         // The first fragment is served eagerly (`bytes > 0` was checked
         // above), capturing the request-wide `data_start` directly.
@@ -440,13 +442,7 @@ impl MemorySystem {
             return Err(Error::BadRequest("zero-length run".into()));
         }
         let total = bytes as u64 * beats as u64;
-        let end = addr + total - 1;
-        if end >= self.capacity {
-            return Err(Error::OutOfRange {
-                addr: end,
-                capacity: self.capacity,
-            });
-        }
+        self.check_range(addr, total)?;
         let loc = self.maps[map_kind.index()].decode(addr)?;
         if loc.col as u64 + total > self.geom.row_bytes as u64 {
             return Err(Error::BadRequest("run crosses a row boundary".into()));
@@ -459,54 +455,6 @@ impl MemorySystem {
                 at,
             },
             beats,
-        ))
-    }
-
-    /// Attempts to serve a prefix of a strided run under the driver's
-    /// pacing law in one fused pass
-    /// ([`VaultController::service_paced_run`]).
-    ///
-    /// Eligibility is decided here, conservatively; `None` means "not
-    /// at this position" and the caller must fall back to its scalar
-    /// per-beat loop (which also covers every error case — an eligible
-    /// beat can never fail). A run qualifies when the fast path is
-    /// active, refresh is off, each beat fits inside one memory row,
-    /// and [`AddressMap::stride_run_location`] proves the beats advance
-    /// through strictly ascending rows of one bank. The returned
-    /// [`RunServed::beats`] may be less than `run.beats` — a run that
-    /// crosses into the next bank is served bank stretch by bank
-    /// stretch, so the caller re-attempts with the remainder.
-    pub fn service_paced_run(
-        &mut self,
-        map_kind: AddressMapKind,
-        run: crate::TraceRun,
-        pacing: &crate::RunPacing,
-    ) -> Option<crate::RunServed> {
-        if self.path != ServicePath::Fast
-            || self.timing.refresh_enabled()
-            || run.beats < 2
-            || run.op.bytes == 0
-        {
-            return None;
-        }
-        let row_bytes = self.geom.row_bytes as u64;
-        // Each beat must stay inside its row: the fused loop never
-        // splits a beat into fragments.
-        if run.op.addr % row_bytes + run.op.bytes as u64 > row_bytes {
-            return None;
-        }
-        let (loc, row_step, fit) =
-            self.maps[map_kind.index()].stride_run_location(run.op.addr, run.stride, run.beats)?;
-        if fit < 2 {
-            return None;
-        }
-        Some(self.controllers[loc.vault].service_paced_run(
-            loc,
-            run.op.bytes,
-            run.op.dir,
-            row_step,
-            fit,
-            pacing,
         ))
     }
 
@@ -525,19 +473,25 @@ impl MemorySystem {
     ///    controller's closed-form fused loop
     ///    ([`VaultController::service_paced_run`]); a run crossing into
     ///    the next bank is served stretch by stretch.
-    /// 2. **Cross-bank interleaved spans** — whole-row-aligned strides
-    ///    whose beats hop banks/layers/vaults each beat (the optimized
-    ///    DDL layouts' grouped column phase emits these as runs of full
-    ///    8 KiB row bursts): the whole run is fused at system level
-    ///    with one incremental decode + controller dispatch per beat,
-    ///    skipping the per-beat driver round trip. Refresh windows and
-    ///    TSV saturation crossings are *inside* the per-beat schedule,
-    ///    so this class stays exact with refresh enabled.
+    /// 2. **Per-beat spans** — whole-row strides whose beats hop
+    ///    banks/layers/vaults each beat (the optimized DDL layouts'
+    ///    grouped column phase emits these as runs of full 8 KiB row
+    ///    bursts), and sub-row strides that divide the row size (the
+    ///    row-major column walk at N ≤ 512, several matrix rows per
+    ///    memory row): the whole run is fused at system level with one
+    ///    decode + controller dispatch per beat, skipping the per-beat
+    ///    driver round trip. Refresh windows, row hits and TSV
+    ///    saturation crossings are *inside* the per-beat schedule, so
+    ///    this class stays exact with refresh enabled.
     ///
     /// Everything else falls back: [`SpanOutcome::Step`] when only the
     /// current position blocks fusion (one scalar beat, then retry),
     /// [`SpanOutcome::Scalar`] when the run's shape can never fuse (the
     /// amortized probe gate — the driver stops asking).
+    ///
+    /// Both classes honour [`RunPacing::horizon`]: they stop before the
+    /// first beat whose grant reaches it, so a `Served` span may cover
+    /// fewer beats than either class could prove — zero included.
     ///
     /// Every fused span is bit-identical — in outcomes, statistics and
     /// controller state — to the driver's scalar per-beat loop under
@@ -555,8 +509,7 @@ impl MemorySystem {
         }
         let row_bytes = self.geom.row_bytes as u64;
         // Each beat must stay inside its row: the fused loops never
-        // split a beat into fragments. With a row-aligned stride this
-        // holds for every beat once it holds for the first.
+        // split a beat into fragments.
         if run.op.addr % row_bytes + run.op.bytes as u64 > row_bytes {
             return SpanOutcome::Scalar;
         }
@@ -581,36 +534,41 @@ impl MemorySystem {
                 return SpanOutcome::Step;
             }
         }
-        // Class 2: cross-bank interleaved rows. The stride must be a
-        // whole number of memory rows (so every beat keeps the first
-        // beat's in-row offset) and the whole run must fit the device
-        // (so the per-beat decode cannot fail).
-        let span = (run.beats as u64 - 1).checked_mul(run.stride);
+        // Class 2: per-beat spans. Every beat must stay inside its row:
+        // a whole-row stride keeps the first beat's in-row offset; a
+        // stride dividing the row size tiles each row with stride slots,
+        // so a first beat inside its slot keeps every beat inside one.
+        // The whole run must fit the device, so the per-beat decode
+        // cannot fail.
+        let stride = run.stride;
+        let in_row = stride > 0
+            && (stride.is_multiple_of(row_bytes)
+                || (row_bytes.is_multiple_of(stride)
+                    && run.op.addr % stride + run.op.bytes as u64 <= stride));
+        let span = (run.beats as u64 - 1).checked_mul(stride);
         let end = span.and_then(|s| run.op.addr.checked_add(s + run.op.bytes as u64 - 1));
-        if run.stride > 0
-            && run.stride.is_multiple_of(row_bytes)
-            && end.is_some_and(|e| e < self.capacity)
-        {
+        if in_row && end.is_some_and(|e| e < self.capacity) {
             return SpanOutcome::Served(self.service_paced_xrun(map_kind, run, pacing));
         }
         SpanOutcome::Scalar
     }
 
-    /// Fuses a **cross-bank interleaved run**: `run.beats` single-row
-    /// beats whose whole-row stride hops banks/layers/vaults from beat
-    /// to beat, each arrival derived from the driver's kernel clock per
-    /// `pacing`. Exactly equivalent to the driver's scalar loop calling
-    /// [`service_burst`](Self::service_burst) once per beat — the same
-    /// decode and the same per-beat controller schedule — but with the
-    /// pacing law replicated in-register and none of the per-beat
-    /// driver/stream bookkeeping. Unlike the same-bank closed form this
-    /// keeps the full per-beat schedule, so contention boundaries
-    /// (refresh windows, TSV saturation crossings, bank conflicts)
-    /// resolve inside it without a fallback.
+    /// Fuses a **per-beat span**: `run.beats` beats that each fit one
+    /// memory row, each arrival derived from the driver's kernel clock
+    /// per `pacing`. Exactly equivalent to the driver's scalar loop
+    /// calling [`service_burst`](Self::service_burst) once per beat —
+    /// the same decode and the same per-beat controller schedule — but
+    /// with the pacing law replicated in-register and none of the
+    /// per-beat driver/stream bookkeeping. Unlike the same-bank closed
+    /// form this keeps the full per-beat schedule, so contention
+    /// boundaries (refresh windows, TSV saturation crossings, bank
+    /// conflicts) resolve inside it without a fallback. It stops before
+    /// the first beat whose grant on its vault reaches
+    /// [`RunPacing::horizon`].
     ///
     /// Preconditions (caller-checked): fast path, `beats ≥ 2`,
-    /// `bytes > 0`, beat fits its row, `stride` a positive multiple of
-    /// the row size, whole run inside the device.
+    /// `bytes > 0`, every beat inside one row, whole run inside the
+    /// device.
     fn service_paced_xrun(
         &mut self,
         map_kind: AddressMapKind,
@@ -624,11 +582,16 @@ impl MemorySystem {
         // Beats on different vaults need not complete in order; the
         // driver observes the span's *latest* completion.
         let mut last_done = Picos::ZERO;
+        let mut served = 0;
         for i in 0..run.beats as u64 {
             let at = Picos::from_fs_clock(t_fs.saturating_sub(pacing.window_fs)).max(pacing.floor);
             // simlint::allow(P001): the whole run was bounds-checked by
             // `service_paced_span`, so every beat address decodes.
             let loc = map.decode(addr).expect("in-bounds beat");
+            if at.max(self.controllers[loc.vault].tsv_free_at()) >= pacing.horizon {
+                break;
+            }
+            served += 1;
             let out = self.controllers[loc.vault].service(Request {
                 loc,
                 bytes: run.op.bytes,
@@ -643,7 +606,7 @@ impl MemorySystem {
             addr += run.stride;
         }
         RunServed {
-            beats: run.beats,
+            beats: served,
             t_kernel_fs: t_fs,
             last_done,
             probe_done,
@@ -703,6 +666,83 @@ mod tests {
         }
     }
 
+    /// The driver's scalar loop under `pacing`: one `service_burst` per
+    /// beat, stopping before the first beat whose grant
+    /// (`max(arrival, tsv_free_at)` on its vault) reaches the horizon.
+    /// Also returns each served beat's grant.
+    fn scalar_span(
+        m: &mut MemorySystem,
+        kind: AddressMapKind,
+        run: TraceRun,
+        pacing: &RunPacing,
+    ) -> (RunServed, Vec<Picos>) {
+        let mut grants = Vec::new();
+        let mut served = RunServed {
+            beats: 0,
+            t_kernel_fs: pacing.t_kernel_fs,
+            last_done: Picos::ZERO,
+            probe_done: None,
+        };
+        let mut op = run.op;
+        for i in 0..run.beats as u64 {
+            let t_fs = served.t_kernel_fs;
+            let at = Picos::from_fs_clock(t_fs.saturating_sub(pacing.window_fs)).max(pacing.floor);
+            let vault = m.vault_of(kind, op.addr).unwrap();
+            let grant = at.max(m.controller(vault).tsv_free_at());
+            if grant >= pacing.horizon {
+                break;
+            }
+            grants.push(grant);
+            let out = m.service_burst(kind, op, at).unwrap();
+            served.beats += 1;
+            served.t_kernel_fs = t_fs.max(out.done.as_ps() as u128 * FS_PER_PS) + pacing.op_fs;
+            served.last_done = served.last_done.max(out.done);
+            if pacing.probe_beat == Some(i) {
+                served.probe_done = Some(out.done);
+            }
+            op.addr += run.stride;
+        }
+        (served, grants)
+    }
+
+    /// A whole run under `pacing` the way the phase driver serves it:
+    /// fused spans where the classifier allows, one scalar beat
+    /// otherwise.
+    fn drive(
+        m: &mut MemorySystem,
+        kind: AddressMapKind,
+        mut run: TraceRun,
+        pacing: &RunPacing,
+    ) -> RunServed {
+        let mut acc = RunServed {
+            beats: 0,
+            t_kernel_fs: pacing.t_kernel_fs,
+            last_done: Picos::ZERO,
+            probe_done: None,
+        };
+        while run.beats > 0 {
+            let p = RunPacing {
+                t_kernel_fs: acc.t_kernel_fs,
+                probe_beat: pacing
+                    .probe_beat
+                    .and_then(|b| b.checked_sub(acc.beats as u64)),
+                ..*pacing
+            };
+            let got = match m.service_paced_span(kind, run, &p) {
+                SpanOutcome::Served(s) if s.beats > 0 => s,
+                _ => scalar_span(m, kind, TraceRun { beats: 1, ..run }, &p).0,
+            };
+            assert!(got.beats > 0, "an unbounded horizon always serves");
+            acc.beats += got.beats;
+            acc.t_kernel_fs = got.t_kernel_fs;
+            acc.last_done = acc.last_done.max(got.last_done);
+            acc.probe_done = acc.probe_done.or(got.probe_done);
+            run.op.addr += got.beats as u64 * run.stride;
+            run.beats -= got.beats;
+        }
+        acc
+    }
+
     #[test]
     fn span_classification_falls_back_correctly() {
         let geom = Geometry::default();
@@ -714,17 +754,22 @@ mod tests {
             op_fs: 8_000,
             floor: Picos::ZERO,
             probe_beat: None,
+            horizon: Picos::MAX,
         };
         // Structurally unfusable shapes gate the probe off: zero-byte
         // beats, single beats, beats crossing a row boundary, strides
-        // that are not a whole number of memory rows, runs past the
-        // device end.
+        // that neither are whole rows nor divide one, beats straddling
+        // their stride slot.
         let kind = AddressMapKind::Chunked;
         for run in [
             read_run(0, 0, 8, row),
             read_run(0, 8, 1, row),
             read_run(row - 4, 8, 8, row),
             read_run(0, 8, 8, row + 8),
+            // A sub-row stride that does not divide the row, and one
+            // whose first beat straddles its stride slot.
+            read_run(0, 8, 8, 3000),
+            read_run(row / 4 - 4, 8, 8, row / 4),
         ] {
             assert_eq!(
                 m.service_paced_span(kind, run, &pacing),
@@ -740,10 +785,14 @@ mod tests {
             SpanOutcome::Scalar
         );
         // Same shape on the fast path: a same-bank ascending-row span.
-        assert!(matches!(
-            m.service_paced_span(kind, read_run(0, 8, 8, row), &pacing),
-            SpanOutcome::Served(_)
-        ));
+        // A stride dividing the row (several matrix rows per memory
+        // row, the small-N row-major column walk) fuses per beat.
+        for stride in [row, row / 4] {
+            assert!(matches!(
+                m.service_paced_span(kind, read_run(0, 8, 8, stride), &pacing),
+                SpanOutcome::Served(_)
+            ));
+        }
         // Last row of a bank: the classifier proves a one-beat stretch —
         // step it scalar, then the next bank's stretch fuses.
         let last_row = (geom.rows_per_bank as u64 - 1) * row;
@@ -785,33 +834,125 @@ mod tests {
                 op_fs: geom.row_bytes as u128 * 31_250,
                 floor: Picos(100),
                 probe_beat: Some(7),
+                horizon: Picos::MAX,
             };
             let outcome = fused.service_paced_span(kind, run, &pacing);
             let SpanOutcome::Served(served) = outcome else {
                 panic!("expected a fused cross-bank span, got {outcome:?}");
             };
             // The driver's scalar loop, replayed on a twin device.
-            let mut t_fs = pacing.t_kernel_fs;
-            let mut last = Picos::ZERO;
-            let mut probe = None;
-            let mut op = run.op;
-            for i in 0..run.beats as u64 {
-                let at =
-                    Picos::from_fs_clock(t_fs.saturating_sub(pacing.window_fs)).max(pacing.floor);
-                let out = scalar.service_burst(kind, op, at).unwrap();
-                t_fs = t_fs.max(out.done.as_ps() as u128 * FS_PER_PS) + pacing.op_fs;
-                last = last.max(out.done);
-                if pacing.probe_beat == Some(i) {
-                    probe = Some(out.done);
-                }
-                op.addr += run.stride;
-            }
+            assert_eq!(served, scalar_span(&mut scalar, kind, run, &pacing).0);
             assert_eq!(served.beats, run.beats);
-            assert_eq!(served.t_kernel_fs, t_fs);
-            assert_eq!(served.last_done, last);
-            assert_eq!(served.probe_done, probe);
             assert_eq!(fused.stats(), scalar.stats());
         }
+    }
+
+    #[test]
+    fn span_cut_at_a_horizon_matches_scalar_beats_and_resumes() {
+        use sim_util::{prop_assert, prop_assert_eq, prop_check};
+        prop_check!(cases: 96, |rng| {
+            let timing = if rng.gen_bool() {
+                TimingParams::default()
+            } else {
+                TimingParams::default().with_refresh()
+            };
+            let geom = Geometry::default();
+            let row = geom.row_bytes as u64;
+            // One shape per fused class: same-bank ascending rows (the
+            // closed form; refresh sends it per beat), vault-hopping
+            // whole rows, and a sub-row stride dividing the row.
+            let (kind, stride, bytes) = match rng.gen_range(0usize..3) {
+                0 => (
+                    AddressMapKind::Chunked,
+                    row * rng.gen_range(1u64..4),
+                    8u32 << rng.gen_range(0u32..4),
+                ),
+                1 => (
+                    AddressMapKind::VaultInterleaved,
+                    row,
+                    geom.row_bytes as u32 >> rng.gen_range(0u32..4),
+                ),
+                _ => (AddressMapKind::Chunked, row >> rng.gen_range(1u32..4), 8),
+            };
+            let addr = rng.gen_range(0u64..64) * row;
+            let run = read_run(addr, bytes, rng.gen_range(2u32..48), stride);
+            let pacing = RunPacing {
+                t_kernel_fs: rng.gen_range(0u64..1 << 30) as u128,
+                window_fs: rng.gen_range(0u64..1 << 28) as u128,
+                op_fs: rng.gen_range(0u64..1 << 22) as u128,
+                floor: Picos(rng.gen_range(0u64..1 << 16)),
+                probe_beat: rng.gen_bool().then(|| rng.gen_range(0u64..run.beats as u64)),
+                horizon: Picos::MAX,
+            };
+            // Random prior traffic, identical on every twin.
+            let mut base = MemorySystem::new(geom, timing);
+            for _ in 0..rng.gen_range(0usize..6) {
+                let op = TraceOp {
+                    addr: rng.gen_range(0u64..128) * row + rng.gen_range(0u64..16) * 8,
+                    bytes: 64,
+                    dir: Direction::Write,
+                };
+                base.service_burst(kind, op, Picos(rng.gen_range(0u64..1 << 24))).unwrap();
+            }
+            let (mut cut, mut scalar, mut whole) = (base.clone(), base.clone(), base.clone());
+            let uncut = drive(&mut whole, kind, run, &pacing);
+            prop_assert_eq!(uncut.beats, run.beats);
+            // Cut exactly at, just past or just before some beat's
+            // grant on the uncut schedule, or anywhere in the span.
+            let grants = scalar_span(&mut base, kind, run, &pacing).1;
+            let g = grants[rng.gen_range(0..grants.len())];
+            let horizon = match rng.gen_range(0usize..4) {
+                0 => g,
+                1 => g + Picos(1),
+                2 => g.saturating_sub(Picos(1)),
+                _ => Picos(rng.gen_range(0..uncut.last_done.as_ps() + 2)),
+            };
+            let cut_pacing = RunPacing { horizon, ..pacing };
+
+            // The cut span equals scalar beats up to the first beat
+            // whose grant reaches the horizon.
+            let outcome = cut.service_paced_span(kind, run, &cut_pacing);
+            let SpanOutcome::Served(head) = outcome else {
+                prop_assert!(false, "{run:?} must fuse, got {outcome:?}");
+                unreachable!()
+            };
+            prop_assert_eq!(head, scalar_span(&mut scalar, kind, run, &cut_pacing).0);
+            prop_assert_eq!(
+                format!("{cut:?}"),
+                format!("{scalar:?}"),
+                "device state after the cut"
+            );
+
+            // Resuming the remainder gives the uncut result.
+            let rest = TraceRun {
+                op: TraceOp { addr: run.op.addr + head.beats as u64 * stride, ..run.op },
+                beats: run.beats - head.beats,
+                ..run
+            };
+            let tail = if rest.beats == 0 {
+                RunServed {
+                    beats: 0,
+                    t_kernel_fs: head.t_kernel_fs,
+                    last_done: Picos::ZERO,
+                    probe_done: None,
+                }
+            } else {
+                let rest_pacing = RunPacing {
+                    t_kernel_fs: head.t_kernel_fs,
+                    probe_beat: pacing.probe_beat.and_then(|b| b.checked_sub(head.beats as u64)),
+                    ..pacing
+                };
+                drive(&mut cut, kind, rest, &rest_pacing)
+            };
+            prop_assert_eq!(tail.t_kernel_fs, uncut.t_kernel_fs);
+            prop_assert_eq!(head.last_done.max(tail.last_done), uncut.last_done);
+            prop_assert_eq!(head.probe_done.or(tail.probe_done), uncut.probe_done);
+            prop_assert_eq!(
+                format!("{cut:?}"),
+                format!("{whole:?}"),
+                "device state after resuming"
+            );
+        });
     }
 
     #[test]
@@ -917,24 +1058,36 @@ mod tests {
     }
 
     #[test]
-    fn service_addr_rejects_overflow() {
+    fn service_burst_rejects_overflow() {
         let mut m = sys();
         let cap = m.geometry().capacity_bytes();
+        let kind = AddressMapKind::Chunked;
+        let op = |addr, bytes| TraceOp {
+            addr,
+            bytes,
+            dir: Direction::Read,
+        };
         for path in [ServicePath::Fast, ServicePath::Reference] {
             m.set_service_path(path);
-            assert!(m
-                .service_addr(
-                    AddressMapKind::Chunked,
-                    cap - 4,
-                    8,
-                    Direction::Read,
-                    Picos::ZERO
-                )
-                .is_err());
-            assert!(m
-                .service_addr(AddressMapKind::Chunked, 0, 0, Direction::Read, Picos::ZERO)
-                .is_err());
+            // Past the device end, empty, and an end address that
+            // would overflow `u64`.
+            for bad in [op(cap - 4, 8), op(0, 0), op(u64::MAX - 2, 8)] {
+                let r = m.service_burst(kind, bad, Picos::ZERO);
+                assert!(r.is_err(), "{path:?} {bad:?}: {r:?}");
+            }
+            let r = crate::replay_stream(
+                &mut crate::StridedSource::read(u64::MAX - 2, 8, 8, 1),
+                &mut m,
+                kind,
+                None,
+            );
+            assert!(
+                matches!(r, Err(Error::OutOfRange { .. })),
+                "{path:?}: {r:?}"
+            );
         }
+        let r = m.service_run(kind, u64::MAX - 2, 8, 2, Direction::Read, Picos::ZERO);
+        assert!(matches!(r, Err(Error::OutOfRange { .. })), "{r:?}");
         assert_eq!(m.stats().requests, 0);
     }
 

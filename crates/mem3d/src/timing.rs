@@ -16,6 +16,9 @@ impl Picos {
     /// Zero duration.
     pub const ZERO: Picos = Picos(0);
 
+    /// The end of simulated time: a horizon no grant ever reaches.
+    pub const MAX: Picos = Picos(u64::MAX);
+
     /// Creates a duration from nanoseconds.
     pub const fn from_ns(ns: u64) -> Self {
         Picos(ns * 1_000)

@@ -38,7 +38,7 @@ pub struct TraceOp {
 ///
 /// A run carries no timing — it is purely an access-pattern
 /// descriptor. Consumers that cannot exploit the structure simply
-/// iterate the beats; [`MemorySystem::service_paced_run`] resolves a
+/// iterate the beats; [`MemorySystem::service_paced_span`] resolves a
 /// whole strided run in one fused pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceRun {

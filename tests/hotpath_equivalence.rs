@@ -13,8 +13,8 @@ use layout::{
     tile_sweep_stream, BlockDynamic, LayoutParams, MatrixLayout, RowMajor, Tiled,
 };
 use mem3d::{
-    AddressMapKind, Direction, Geometry, MemorySystem, Picos, RequestSource, ServicePath,
-    TimingParams, TraceOp,
+    AccessTrace, AddressMapKind, Direction, Geometry, MemorySystem, Picos, RequestSource,
+    ServicePath, TimingParams, TraceOp,
 };
 use sim_util::{par_check, prop_assert, prop_assert_eq};
 
@@ -91,7 +91,12 @@ fn phase_both_paths(
 #[test]
 fn fast_and_reference_phases_are_byte_identical() {
     par_check!(cases: 48, |rng| {
-        let n = 1usize << rng.gen_range(4u32..8); // 16..=128
+        let shape = rng.gen_range(0usize..4);
+        let n = if shape == 3 {
+            256 << rng.gen_range(0u32..2) // 256, 512
+        } else {
+            1usize << rng.gen_range(4u32..8) // 16..=128
+        };
         let cfg = DriverConfig {
             ps_per_byte: [3.9, 31.25, 125.0][rng.gen_range(0usize..3)],
             window_bytes: 1u64 << rng.gen_range(10u32..19),
@@ -106,7 +111,7 @@ fn fast_and_reference_phases_are_byte_identical() {
             TimingParams::default().with_refresh()
         };
 
-        let (fast, reference, mem_fast, mem_ref) = match rng.gen_range(0usize..3) {
+        let (fast, reference, mem_fast, mem_ref) = match shape {
             // Column phase over a row-major layout on a *random* pow2
             // geometry (the strided baseline pattern), row-major
             // write-back.
@@ -168,7 +173,7 @@ fn fast_and_reference_phases_are_byte_identical() {
                 r
             }
             // Tile sweep over the Akin et al. tiling, tile write-back.
-            _ => {
+            2 => {
                 let geom = Geometry::default();
                 let p = LayoutParams::for_device(n, &geom, &timing);
                 let t = Tiled::row_buffer_sized(&p).expect("tiled layout");
@@ -186,6 +191,32 @@ fn fast_and_reference_phases_are_byte_identical() {
                         &mut tile_band_write_stream(&t) as &mut dyn RequestSource,
                         &mut tile_band_write_stream(&t) as &mut dyn RequestSource,
                         t.map_kind(),
+                    )),
+                );
+                r
+            }
+            // The baseline's row-major column walk on the paper's device
+            // at N ≤ 512: a 2–4 KiB stride puts several matrix rows in
+            // one 8 KiB memory row, so the runs fuse per beat through
+            // sub-row strides rather than falling back to scalar beats.
+            _ => {
+                let geom = Geometry::default();
+                let p = LayoutParams::for_device(n, &geom, &timing);
+                let l = RowMajor::new(&p);
+                let r = phase_both_paths(
+                    geom,
+                    timing,
+                    &cfg,
+                    start,
+                    (
+                        &mut col_phase_stream(&l, Direction::Read, 1),
+                        &mut col_phase_stream(&l, Direction::Read, 1),
+                    ),
+                    l.map_kind(),
+                    with_writes.then_some((
+                        &mut row_phase_stream(&l, Direction::Write) as &mut dyn RequestSource,
+                        &mut row_phase_stream(&l, Direction::Write) as &mut dyn RequestSource,
+                        l.map_kind(),
                     )),
                 );
                 r
@@ -320,6 +351,130 @@ fn event_core_fallback_boundaries_are_byte_identical() {
             "device statistics diverged for n = {}",
             n
         );
+    });
+}
+
+/// Runs one phase on a reference-path device from per-op streams — the
+/// materialized traces, whose runs are single beats, so every burst is
+/// pulled and served one at a time — and the same phase on a fast-path
+/// device from the layout's run-granular streams, and checks the two
+/// agree in report and device statistics.
+#[allow(clippy::too_many_arguments)]
+fn per_op_reference_matches(
+    geom: Geometry,
+    timing: TimingParams,
+    cfg: &DriverConfig,
+    start: Picos,
+    reads: &mut dyn RequestSource,
+    per_op_reads: AccessTrace,
+    map: AddressMapKind,
+    writes: Option<(&mut dyn RequestSource, AccessTrace)>,
+) -> Result<(), String> {
+    let mut fast = MemorySystem::new(geom, timing);
+    let mut reference = MemorySystem::new(geom, timing);
+    reference.set_service_path(ServicePath::Reference);
+    let (writes, per_op_writes) = match writes {
+        Some((w, t)) => (Some(w), Some(t)),
+        None => (None, None),
+    };
+    let got = run_phase(&mut fast, cfg, reads, map, writes.map(|w| (w, map)), start)
+        .map_err(|e| e.to_string())?;
+    let mut per_op_write_stream = per_op_writes.as_ref().map(|t| t.stream());
+    let want = run_phase(
+        &mut reference,
+        cfg,
+        &mut per_op_reads.stream(),
+        map,
+        per_op_write_stream
+            .as_mut()
+            .map(|w| (w as &mut dyn RequestSource, map)),
+        start,
+    )
+    .map_err(|e| e.to_string())?;
+    prop_assert_eq!(got, want, "phase report");
+    prop_assert_eq!(fast.stats(), reference.stats(), "device statistics");
+    Ok(())
+}
+
+#[test]
+fn per_op_reference_pipeline_matches_the_unified_stepper() {
+    // The guarantee the historical per-op reference driver gave: the
+    // Reference path, fed one burst at a time, is the oracle the fused
+    // stepper must reproduce — refresh on or off, with and without a
+    // write side, across the strided, block-DDL and tiled patterns.
+    par_check!(cases: 48, |rng| {
+        let n = 1usize << rng.gen_range(4u32..8); // 16..=128
+        let cfg = DriverConfig {
+            ps_per_byte: [0.5, 3.9, 31.25, 2000.0][rng.gen_range(0usize..4)],
+            window_bytes: 1u64 << rng.gen_range(3u32..20),
+            write_delay: Picos::from_ns(rng.gen_range(0u64..2000)),
+            latency_probe_bytes: if rng.gen_bool() { (n * 8) as u64 } else { 0 },
+        };
+        let start = Picos(rng.gen_range(0u64..1 << 40));
+        let timing = if rng.gen_bool() {
+            TimingParams::default()
+        } else {
+            TimingParams::default().with_refresh()
+        };
+        let with_writes = rng.gen_bool();
+        let geom = Geometry::default();
+        let p = LayoutParams::for_device(n, &geom, &timing);
+        match rng.gen_range(0usize..3) {
+            0 => {
+                let l = if rng.gen_bool() {
+                    RowMajor::new(&p)
+                } else {
+                    RowMajor::interleaved(&p)
+                };
+                per_op_reference_matches(
+                    geom,
+                    timing,
+                    &cfg,
+                    start,
+                    &mut col_phase_stream(&l, Direction::Read, 1),
+                    col_phase_stream(&l, Direction::Read, 1).collect_trace(),
+                    l.map_kind(),
+                    with_writes.then_some((
+                        &mut row_phase_stream(&l, Direction::Write) as &mut dyn RequestSource,
+                        row_phase_stream(&l, Direction::Write).collect_trace(),
+                    )),
+                )?;
+            }
+            1 => {
+                let heights = p.valid_block_heights();
+                let h = heights[rng.gen_range(0usize..heights.len())];
+                let ddl = BlockDynamic::with_height(&p, h).expect("feasible height");
+                per_op_reference_matches(
+                    geom,
+                    timing,
+                    &cfg,
+                    start,
+                    &mut col_phase_stream(&ddl, Direction::Read, ddl.w),
+                    col_phase_stream(&ddl, Direction::Read, ddl.w).collect_trace(),
+                    ddl.map_kind(),
+                    with_writes.then_some((
+                        &mut band_block_write_stream(&ddl) as &mut dyn RequestSource,
+                        band_block_write_stream(&ddl).collect_trace(),
+                    )),
+                )?;
+            }
+            _ => {
+                let t = Tiled::row_buffer_sized(&p).expect("tiled layout");
+                per_op_reference_matches(
+                    geom,
+                    timing,
+                    &cfg,
+                    start,
+                    &mut tile_sweep_stream(&t, Direction::Read),
+                    tile_sweep_stream(&t, Direction::Read).collect_trace(),
+                    t.map_kind(),
+                    with_writes.then_some((
+                        &mut tile_band_write_stream(&t) as &mut dyn RequestSource,
+                        tile_band_write_stream(&t).collect_trace(),
+                    )),
+                )?;
+            }
+        }
     });
 }
 
