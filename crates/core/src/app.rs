@@ -386,7 +386,7 @@ impl System {
             None,
             p1.end,
         )?;
-        Ok(self.summarize(arch, n, &proc, p1, p2, col_bytes))
+        Ok(self.summarize(arch, n, &proc, p1, p2))
     }
 
     /// Simulates `frames` back-to-back 2D FFTs (a streaming workload)
@@ -452,7 +452,6 @@ impl System {
         proc: &ProcessorModel,
         p1: PhaseReport,
         p2: PhaseReport,
-        col_bytes: u64,
     ) -> AppResult {
         let total = p2.end;
         let processed = p1.read_bytes + p2.read_bytes;
@@ -465,7 +464,6 @@ impl System {
         // measured from the start of the column phase.
         let first_col = p2.probe_done.saturating_sub(p2.start);
         let latency = first_col + proc.kernel_latency();
-        let _ = col_bytes;
         // GB/s = bytes/ns; × ns per cycle → bytes/cycle; ÷ 8 → elements.
         let clock_ns = proc.clock().as_ns_f64();
         let bytes_per_cycle = p2.read_bandwidth_gbps() * clock_ns;

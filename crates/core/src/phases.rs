@@ -942,7 +942,7 @@ mod tests {
         // The thin collected form must remain a first-class input.
         let (mut mem, p) = setup(256);
         let l = RowMajor::interleaved(&p);
-        let trace = layout::row_phase_trace(&l, Direction::Read);
+        let trace = layout::collect_stream(&mut row_phase_stream(&l, Direction::Read));
         let rep = run_phase(
             &mut mem,
             &driver(),

@@ -9,16 +9,17 @@
 //! implement the trait, register a [`FamilyId`], and every consumer
 //! (including the design-space explorer) picks it up.
 //!
-//! The **fast-path hook** is inherited rather than re-invented: the
-//! default [`LayoutFamily::col_stream`] routes through
-//! [`col_phase_stream`], whose `next_run` implementation consults the
-//! underlying [`MatrixLayout`]'s `row_stride` / `group_block_addr`
-//! hooks to emit multi-beat [`mem3d::TraceRun`]s wherever the family
-//! can prove same-row ascending spans. A family that cannot prove
-//! anything simply leaves those hooks at their `None` defaults and the
-//! same stream degrades gracefully to scalar per-element stepping —
-//! correctness never depends on the hook, only throughput of the
-//! simulator's skip-ahead core does.
+//! The **fast-path hook** is inherited rather than re-invented: every
+//! default stream is the crate's one segment stream, whose walk
+//! consults the underlying [`MatrixLayout`]'s contiguity hooks
+//! (`row_run`, `row_stride`, `group_block_addr`) to cost one address
+//! call per contiguous segment, and whose `next_run` emits multi-beat
+//! [`mem3d::TraceRun`]s wherever the segments prove strided or
+//! whole-row spans. A family that cannot prove anything simply leaves
+//! those hooks at their defaults and the same stream degrades
+//! gracefully to per-element segments — correctness never depends on
+//! the hooks, only the speed of generation and of the simulator's
+//! skip-ahead core does.
 
 use std::fmt;
 

@@ -15,11 +15,15 @@
 //!   [`ColMajor`], [`Tiled`] (Akin et al., the paper's ref.\[2\]) and
 //!   [`BlockDynamic`] (the DDL);
 //! * lazy phase request-stream generators ([`row_phase_stream`],
-//!   [`col_phase_stream`], plus the write-back streams) with
-//!   controller-style burst coalescing as a stream adapter
-//!   ([`Coalescer`]) — O(1) memory per phase, with `*_trace` collectors
-//!   ([`row_phase_trace`], [`col_phase_trace`]) materializing the same
-//!   streams for small problems and golden tests;
+//!   [`col_phase_stream`], plus the write-back and tile streams), all
+//!   one segment stream: each walk is a sequence of `(base, count,
+//!   stride)` segments whose size the layout states in O(1)
+//!   ([`MatrixLayout::row_run`], [`MatrixLayout::row_stride`],
+//!   [`MatrixLayout::group_block_addr`]), coalesced into bursts a
+//!   contiguous chunk at a time under the controller's element-level
+//!   merge rule — O(1) memory per phase and no per-element address
+//!   walk; [`collect_stream`] (and the [`LayoutFamily`] trace methods)
+//!   materialize a stream for small problems and golden tests;
 //! * the Eq. (1) block-height optimizer ([`optimal_h`]) and a
 //!   simulator-driven exhaustive search ([`search_optimal_h`]) that
 //!   validates it;
@@ -65,8 +69,6 @@ pub use matrix::{BlockDynamic, ColMajor, MatrixLayout, RowMajor, Tiled};
 pub use params::LayoutParams;
 pub use reorg::ReorgCost;
 pub use trace::{
-    band_block_write_stream, band_block_write_trace, block_write_stream, col_bursts_per_column,
-    col_phase_stream, col_phase_trace, collect_stream, row_phase_stream, row_phase_trace,
-    tile_band_write_stream, tile_band_write_trace, tile_sweep_stream, tile_sweep_trace, Coalescer,
-    MAX_BURST_BYTES,
+    band_block_write_stream, block_write_stream, col_bursts_per_column, col_phase_stream,
+    collect_stream, row_phase_stream, tile_band_write_stream, tile_sweep_stream, MAX_BURST_BYTES,
 };

@@ -51,6 +51,19 @@ pub trait MatrixLayout: std::fmt::Debug {
         None
     }
 
+    /// Row-direction contiguity, in elements — the mirror of
+    /// [`column_run`](Self::column_run): within every aligned run of
+    /// columns `[k·row_run, (k+1)·row_run)` of any row, horizontally
+    /// adjacent elements are adjacent in memory
+    /// (`addr(row, col + 1) == addr(row, col) + elem_bytes`). `n` for
+    /// row-major, the tile width for tiled; the default 1 claims
+    /// nothing. Lets the row sweep and the tile walks describe a row
+    /// chunk as one segment instead of `row_run` per-element virtual
+    /// calls.
+    fn row_run(&self) -> usize {
+        1
+    }
+
     /// Base address of one fully-contiguous **group block**, if this
     /// layout stores it as one: `Some(base)` only when the
     /// `group × column_run` elements of columns `g..g+group`, rows
@@ -129,6 +142,10 @@ impl MatrixLayout for RowMajor {
 
     fn row_stride(&self) -> Option<u64> {
         Some((self.n * self.elem_bytes) as u64)
+    }
+
+    fn row_run(&self) -> usize {
+        self.n
     }
 }
 
@@ -299,6 +316,11 @@ impl MatrixLayout for Tiled {
         // Within a tile, column elements stride by tile_cols; only one
         // element is contiguous.
         1
+    }
+
+    fn row_run(&self) -> usize {
+        // Each tile row is `tile_cols` contiguous elements.
+        self.tile_cols
     }
 }
 
@@ -533,6 +555,77 @@ mod tests {
         assert!(BlockDynamic::with_height(&p, 3).is_err());
         // h = 1024 > n = 512 → block taller than the matrix.
         assert!(BlockDynamic::with_height(&p, 1024).is_err());
+    }
+
+    /// Every layout the registry builds, at 8- and 4-byte elements.
+    fn registry_layouts(n: usize) -> Vec<Box<dyn crate::LayoutFamily>> {
+        let p8 = params(n);
+        let p4 = LayoutParams {
+            elem_bytes: 4,
+            s: p8.s * 2,
+            ..p8
+        };
+        [p8, p4]
+            .iter()
+            .flat_map(|p| {
+                crate::enumerate_candidates(p)
+                    .into_iter()
+                    .map(move |spec| spec.build(p).expect("registry candidates build"))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn group_block_addr_claims_only_contiguous_blocks() {
+        // Wherever a layout claims a whole group block, the block's
+        // columns-outer / rows-inner walk is exactly the ascending byte
+        // range from the claimed base.
+        for n in [16, 64, 256] {
+            for fam in registry_layouts(n) {
+                let l = fam.layout();
+                let (e, run, group) = (l.elem_bytes() as u64, l.column_run(), fam.col_group());
+                for band in (0..n).step_by(run.min(n)) {
+                    for g in (0..n).step_by(group) {
+                        let Some(base) = l.group_block_addr(band, g, group) else {
+                            continue;
+                        };
+                        let mut expect = base;
+                        for c in g..g + group {
+                            for r in band..band + run {
+                                assert_eq!(l.addr(r, c), expect, "{fam:?} at ({r}, {c})");
+                                expect += e;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_run_claims_only_contiguous_runs() {
+        // Inside every aligned run of `row_run` columns, horizontally
+        // adjacent elements are adjacent in memory.
+        for n in [16, 64, 256] {
+            for fam in registry_layouts(n) {
+                let l = fam.layout();
+                let (e, run) = (l.elem_bytes() as u64, l.row_run());
+                assert!(run >= 1, "{fam:?}: row_run must be positive");
+                for r in 0..n {
+                    for c in 0..n - 1 {
+                        if (c + 1) % run != 0 {
+                            assert_eq!(
+                                l.addr(r, c + 1),
+                                l.addr(r, c) + e,
+                                "{fam:?}: row_run {run} over-claims at ({r}, {c})"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(RowMajor::new(&params(64)).row_run(), 64);
+        assert_eq!(Tiled::new(&params(64), 8, 16).unwrap().row_run(), 16);
     }
 
     #[test]

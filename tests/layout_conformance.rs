@@ -3,7 +3,7 @@
 //! virtualized streams must be bit-identical to the free-function
 //! streams the concrete layouts shipped with before the trait existed.
 //!
-//! Four properties, checked across the whole registry:
+//! Five properties, checked across the whole registry:
 //!
 //! 1. **Coverage** — each phase stream (row, column, write-back)
 //!    touches every element slot of the `N × N` arena exactly once,
@@ -19,12 +19,17 @@
 //!    trait (row-major, col-major, tiled, block-DDL), a `run_phase`
 //!    fed by the family's streams produces a [`fft2d::PhaseReport`]
 //!    bit-identical to one fed by the original free-function streams.
+//! 5. **Reference walk** — the layout layer's one scalar oracle: every
+//!    stream's ops equal a per-element walk written here as plain
+//!    [`MatrixLayout::addr`] loops, coalesced by the controller's
+//!    element merge rule. The library generates streams a segment at a
+//!    time; this walk never does.
 
 use fft2d::{run_phase, DriverConfig, PhaseReport};
 use layout::{
     band_block_write_stream, col_phase_stream, enumerate_candidates, optimal_h, row_phase_stream,
-    tile_sweep_stream, BlockDynamic, ColMajor, FamilyId, LayoutParams, MatrixLayout, RowMajor,
-    Tiled,
+    tile_band_write_stream, tile_sweep_stream, BlockDynamic, ColMajor, FamilyId, LayoutFamily,
+    LayoutParams, MatrixLayout, RowMajor, Tiled, MAX_BURST_BYTES,
 };
 use mem3d::{
     Direction, Geometry, MemorySystem, Picos, RequestSource, TimingParams, TraceOp, TraceRun,
@@ -234,4 +239,321 @@ fn family_write_back_matches_the_legacy_stream_bit_for_bit() {
     let want = run(&mut band_block_write_stream(&legacy), legacy.map_kind());
     let got = run(&mut *fam.write_stream(), fam.map_kind());
     assert_eq!(got, want, "block-ddl write-back");
+}
+
+/// The element visit order of one phase walk.
+#[derive(Debug, Clone, Copy)]
+enum Order {
+    /// Every row left to right, top to bottom.
+    Rows,
+    /// Columns in groups of `group`; per group, bands of
+    /// `column_run` rows, each band's columns top to bottom.
+    Columns { group: usize },
+    /// Bands of `h` rows; per band, `w`-column blocks left to right,
+    /// each block column by column, top to bottom.
+    Blocks { w: usize, h: usize },
+    /// `tr × tc` tiles, each row by row; tiles down each tile column
+    /// (`bands_first = false`) or across each tile band.
+    Tiles {
+        tr: usize,
+        tc: usize,
+        bands_first: bool,
+    },
+}
+
+/// Element addresses in walk order: plain `addr` loops, one per element.
+fn reference_addrs(l: &dyn MatrixLayout, order: Order) -> Vec<u64> {
+    let n = l.n();
+    let mut out = Vec::with_capacity(n * n);
+    match order {
+        Order::Rows => {
+            for r in 0..n {
+                for c in 0..n {
+                    out.push(l.addr(r, c));
+                }
+            }
+        }
+        Order::Columns { group } => {
+            let run = l.column_run().min(n);
+            for g in (0..n).step_by(group) {
+                for band in (0..n).step_by(run) {
+                    for c in g..g + group {
+                        for r in band..(band + run).min(n) {
+                            out.push(l.addr(r, c));
+                        }
+                    }
+                }
+            }
+        }
+        Order::Blocks { w, h } => {
+            for band in (0..n).step_by(h) {
+                for g in (0..n).step_by(w) {
+                    for c in g..g + w {
+                        for r in band..band + h {
+                            out.push(l.addr(r, c));
+                        }
+                    }
+                }
+            }
+        }
+        Order::Tiles {
+            tr,
+            tc,
+            bands_first,
+        } => {
+            let tiles: Vec<(usize, usize)> = if bands_first {
+                (0..n / tr)
+                    .flat_map(|i| (0..n / tc).map(move |j| (i, j)))
+                    .collect()
+            } else {
+                (0..n / tc)
+                    .flat_map(|j| (0..n / tr).map(move |i| (i, j)))
+                    .collect()
+            };
+            for (i, j) in tiles {
+                for r in i * tr..(i + 1) * tr {
+                    for c in j * tc..(j + 1) * tc {
+                        out.push(l.addr(r, c));
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+/// The controller's element merge rule: an access extends the current
+/// burst when it starts where the burst ends and the burst stays within
+/// `MAX_BURST_BYTES`; anything else closes the burst.
+fn coalesce(addrs: &[u64], elem: u32, dir: Direction) -> Vec<TraceOp> {
+    let mut ops = Vec::new();
+    let (mut start, mut len) = (0u64, 0u32);
+    for &addr in addrs {
+        if len > 0 && addr == start + len as u64 && len + elem <= MAX_BURST_BYTES {
+            len += elem;
+        } else {
+            if len > 0 {
+                ops.push(TraceOp {
+                    addr: start,
+                    bytes: len,
+                    dir,
+                });
+            }
+            start = addr;
+            len = elem;
+        }
+    }
+    if len > 0 {
+        ops.push(TraceOp {
+            addr: start,
+            bytes: len,
+            dir,
+        });
+    }
+    ops
+}
+
+/// Asserts `make()`'s `next()` sequence equals the reference walk of
+/// `order` over `l`, and that its `next_run()` expansion does too.
+fn assert_matches_reference<'a>(
+    l: &dyn MatrixLayout,
+    order: Order,
+    dir: Direction,
+    make: impl Fn() -> Box<dyn RequestSource + 'a>,
+    what: &str,
+) {
+    let want = coalesce(&reference_addrs(l, order), l.elem_bytes() as u32, dir);
+    let ops: Vec<TraceOp> = make().collect();
+    assert_eq!(ops.len(), want.len(), "{what}: op count");
+    if let Some(i) = (0..ops.len()).find(|&i| ops[i] != want[i]) {
+        panic!("{what}: op {i} is {:?}, reference {:?}", ops[i], want[i]);
+    }
+    assert!(
+        expand_runs(&mut *make()) == want,
+        "{what}: next_run expansion"
+    );
+}
+
+/// Device parameters at 8- and 4-byte elements (the row buffer holds
+/// twice as many of the latter).
+fn params_both(n: usize) -> [LayoutParams; 2] {
+    let p8 = params(n);
+    let p4 = LayoutParams {
+        elem_bytes: 4,
+        s: p8.s * 2,
+        ..p8
+    };
+    [p8, p4]
+}
+
+/// The column and write-back walk orders a family's streams follow.
+fn family_orders(fam: &dyn LayoutFamily, p: &LayoutParams) -> (Order, Order) {
+    match fam.id() {
+        FamilyId::Tiled => {
+            let (tr, tc) = (fam.param().min(p.n), (p.s / fam.param()).min(p.n));
+            let tiles = |bands_first| Order::Tiles {
+                tr,
+                tc,
+                bands_first,
+            };
+            (tiles(false), tiles(true))
+        }
+        FamilyId::RowMajor | FamilyId::ColMajor => (
+            Order::Columns {
+                group: fam.col_group(),
+            },
+            Order::Rows,
+        ),
+        FamilyId::BlockDynamic | FamilyId::BurstInterleaved | FamilyId::Irredundant => (
+            Order::Columns {
+                group: fam.col_group(),
+            },
+            Order::Blocks {
+                w: fam.col_group(),
+                h: fam.reorg_rows(),
+            },
+        ),
+    }
+}
+
+/// Checks a family's row (per `dirs`), column and write-back streams,
+/// plus — when `ungrouped` — the group-of-one column walk, whose
+/// per-element and per-band regimes the grouped family streams skip.
+fn check_family(fam: &dyn LayoutFamily, p: &LayoutParams, dirs: &[Direction], ungrouped: bool) {
+    let l = fam.layout();
+    let tag = format!(
+        "{}({}) n={} e={}",
+        fam.name(),
+        fam.param(),
+        p.n,
+        p.elem_bytes
+    );
+    let (col, write) = family_orders(fam, p);
+    for &dir in dirs {
+        assert_matches_reference(
+            l,
+            Order::Rows,
+            dir,
+            || fam.row_stream(dir),
+            &format!("{tag} row {dir:?}"),
+        );
+        assert_matches_reference(
+            l,
+            col,
+            dir,
+            || fam.col_stream(dir),
+            &format!("{tag} col {dir:?}"),
+        );
+    }
+    assert_matches_reference(
+        l,
+        write,
+        Direction::Write,
+        || fam.write_stream(),
+        &format!("{tag} write"),
+    );
+    if ungrouped {
+        check_column_groups(l, &[Direction::Read], &tag);
+    }
+}
+
+/// The public column walk at groups of one, four and `n` over `l`: the
+/// per-element, per-band and per-column regimes the family streams'
+/// own groups skip, and on row-stride layouts a group's row of
+/// one-element segments, coalesced across columns up to the cap.
+fn check_column_groups(l: &dyn MatrixLayout, dirs: &[Direction], tag: &str) {
+    for group in [1, 4, l.n()] {
+        for &dir in dirs {
+            assert_matches_reference(
+                l,
+                Order::Columns { group },
+                dir,
+                || Box::new(col_phase_stream(l, dir, group)),
+                &format!("{tag} col group {group} {dir:?}"),
+            );
+        }
+    }
+}
+
+/// The `run_app` input streams (row-major, both maps) at `p`.
+fn check_inputs(p: &LayoutParams) {
+    for input in [RowMajor::new(p), RowMajor::interleaved(p)] {
+        assert_matches_reference(
+            &input,
+            Order::Rows,
+            Direction::Read,
+            || Box::new(row_phase_stream(&input, Direction::Read)),
+            &format!("input {:?} n={} e={}", input.map_kind(), p.n, p.elem_bytes),
+        );
+    }
+}
+
+/// Every registered family at every candidate parameter, the inputs and
+/// both tile streams over many tile shapes, at 8- and 4-byte elements.
+fn check_registry(n: usize, dirs: &[Direction]) {
+    for p in params_both(n) {
+        // Every registered family at every candidate parameter.
+        for spec in enumerate_candidates(&p) {
+            let fam = spec.build(&p).expect("registry candidates build");
+            check_family(fam.as_ref(), &p, dirs, true);
+        }
+        check_inputs(&p);
+        for input in [RowMajor::new(&p), RowMajor::interleaved(&p)] {
+            let tag = format!("input {:?} n={n} e={}", input.map_kind(), p.elem_bytes);
+            check_column_groups(&input, &[Direction::Read, Direction::Write], &tag);
+        }
+        // Both tile streams over square, wide, tall and
+        // row-buffer-mismatched tiles.
+        for (tr, tc) in [(1, 1), (4, 4), (8, 32), (32, 8), (16, 64), (64, 2), (n, 1)] {
+            let t = Tiled::new(&p, tr, tc).expect("tile divides n");
+            let sweep = Order::Tiles {
+                tr,
+                tc,
+                bands_first: false,
+            };
+            let what = format!("tiles {tr}x{tc} n={n} e={}", p.elem_bytes);
+            assert_matches_reference(
+                &t,
+                sweep,
+                Direction::Read,
+                || Box::new(tile_sweep_stream(&t, Direction::Read)),
+                &format!("{what} sweep"),
+            );
+            let band = Order::Tiles {
+                tr,
+                tc,
+                bands_first: true,
+            };
+            assert_matches_reference(
+                &t,
+                band,
+                Direction::Write,
+                || Box::new(tile_band_write_stream(&t)),
+                &format!("{what} band write"),
+            );
+        }
+    }
+}
+
+#[test]
+fn small_streams_match_the_per_element_reference_walk() {
+    // The direction only labels the ops: both at the smallest size.
+    check_registry(64, &[Direction::Read, Direction::Write]);
+}
+
+#[test]
+fn registry_streams_match_the_per_element_reference_walk() {
+    check_registry(256, &[Direction::Read]);
+}
+
+#[test]
+fn paper_scale_streams_match_the_per_element_reference_walk() {
+    // The walks `run_app` drives: the inputs, and each family's column
+    // and write-back streams at its representative parameter.
+    let p = params(1024);
+    check_inputs(&p);
+    for id in FamilyId::ALL {
+        let fam = id.build(&p, id.default_param(&p)).expect("default builds");
+        check_family(fam.as_ref(), &p, &[], false);
+    }
 }
