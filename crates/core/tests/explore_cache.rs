@@ -10,8 +10,9 @@
 use std::fs;
 use std::path::PathBuf;
 
-use fft2d::{Architecture, ExploreCache, System};
+use fft2d::{Architecture, ExploreCache, System, CACHE_VERSION};
 use sim_exec::ExecConfig;
+use sim_util::hash::StableHasher;
 use sim_util::{par_check, prop_assert, prop_assert_eq};
 
 fn temp_path(tag: &str) -> PathBuf {
@@ -132,4 +133,26 @@ fn column_phase_cache_round_trips() {
         assert!(warm_hit, "second run replays");
         assert_eq!(warm, cold, "cached result is exact");
     }
+}
+
+/// The cache guard. A cached point is invalidated only when
+/// `CACHE_VERSION` changes, so any change to a simulated result must
+/// come with a bump, or warm sweeps replay stale numbers. This digest
+/// of a small fixed sweep catches a model-visible change made without
+/// one: when it fails, bump `CACHE_VERSION` and re-pin both values
+/// together.
+#[test]
+fn cache_version_pins_the_simulated_results() {
+    let sys = System::default();
+    let exec = ExecConfig::sequential();
+    let mut h = StableHasher::new();
+    for n in [64, 128] {
+        let sweep = sys.explore_with(&exec, n, &[4, 8]).expect("sweep");
+        h.write_str(&sweep.to_json());
+    }
+    assert_eq!(
+        (CACHE_VERSION, format!("{:016x}", h.finish())),
+        (1, "9a8e9b90dc7300cd".to_string()),
+        "simulated results moved under the same CACHE_VERSION"
+    );
 }

@@ -12,10 +12,10 @@
 //! The **fast-path hook** is inherited rather than re-invented: every
 //! default stream is the crate's one segment stream, whose walk
 //! consults the underlying [`MatrixLayout`]'s contiguity hooks
-//! (`row_run`, `row_stride`, `group_block_addr`) to cost one address
-//! call per contiguous segment, and whose `next_run` emits multi-beat
-//! [`mem3d::TraceRun`]s wherever the segments prove strided or
-//! whole-row spans. A family that cannot prove anything simply leaves
+//! (`row_run`, `row_stride`, `group_block_addr`, `row_block_addr`) to
+//! cost one address call per contiguous segment, and whose `next_run`
+//! emits multi-beat [`mem3d::TraceRun`]s wherever the segments prove
+//! strided or whole-row spans. A family that cannot prove anything simply leaves
 //! those hooks at their defaults and the same stream degrades
 //! gracefully to per-element segments — correctness never depends on
 //! the hooks, only the speed of generation and of the simulator's

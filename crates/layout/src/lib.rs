@@ -19,7 +19,8 @@
 //!   one segment stream: each walk is a sequence of `(base, count,
 //!   stride)` segments whose size the layout states in O(1)
 //!   ([`MatrixLayout::row_run`], [`MatrixLayout::row_stride`],
-//!   [`MatrixLayout::group_block_addr`]), coalesced into bursts a
+//!   [`MatrixLayout::group_block_addr`],
+//!   [`MatrixLayout::row_block_addr`]), coalesced into bursts a
 //!   contiguous chunk at a time under the controller's element-level
 //!   merge rule — O(1) memory per phase and no per-element address
 //!   walk; [`collect_stream`] (and the [`LayoutFamily`] trace methods)

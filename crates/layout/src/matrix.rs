@@ -78,6 +78,23 @@ pub trait MatrixLayout: std::fmt::Debug {
         let _ = (band, g, group);
         None
     }
+
+    /// Base address of one fully-contiguous **row block**, if this
+    /// layout stores it as one — the rows-outer mirror of
+    /// [`group_block_addr`](Self::group_block_addr): `Some(base)` only
+    /// when the `rows × cols` elements of rows `band..band+rows`,
+    /// columns `g..g+cols`, visited rows-outer / columns-inner (the
+    /// tile walks' order), occupy *exactly* the ascending byte range
+    /// `[base, base + rows·cols·elem_bytes)`. Whether a block is claimed
+    /// may depend only on its shape and alignment, never on where in
+    /// the matrix an aligned block sits. Lets the tile sweep and the
+    /// tile write-back emit one segment per tile instead of one per tile
+    /// row. Layouts without such a shape (or for a misaligned block)
+    /// return `None`.
+    fn row_block_addr(&self, band: usize, g: usize, rows: usize, cols: usize) -> Option<u64> {
+        let _ = (band, g, rows, cols);
+        None
+    }
 }
 
 /// Row-major order. With the default [`AddressMapKind::Chunked`]
@@ -321,6 +338,19 @@ impl MatrixLayout for Tiled {
     fn row_run(&self) -> usize {
         // Each tile row is `tile_cols` contiguous elements.
         self.tile_cols
+    }
+
+    fn row_block_addr(&self, band: usize, g: usize, rows: usize, cols: usize) -> Option<u64> {
+        // A whole aligned tile, stored row-major: the rows-outer /
+        // columns-inner walk visits its elements in exactly ascending
+        // address order starting at the tile base.
+        (rows == self.tile_rows
+            && cols == self.tile_cols
+            && band.is_multiple_of(self.tile_rows)
+            && g.is_multiple_of(self.tile_cols)
+            && band + rows <= self.n
+            && g + cols <= self.n)
+            .then(|| self.addr(band, g))
     }
 }
 
@@ -600,6 +630,48 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn row_block_addr_claims_only_contiguous_blocks() {
+        // Wherever a layout claims a whole row block, the block's
+        // rows-outer / columns-inner walk is exactly the ascending byte
+        // range from the claimed base — at every offset, aligned or not,
+        // for every power-of-two block shape.
+        for n in [16usize, 64, 256] {
+            let shapes: Vec<usize> = (0..=n.trailing_zeros()).map(|k| 1 << k).collect();
+            for fam in registry_layouts(n) {
+                let l = fam.layout();
+                let e = l.elem_bytes() as u64;
+                for &rows in &shapes {
+                    for &cols in &shapes {
+                        for band in 0..=n - rows {
+                            for g in 0..=n - cols {
+                                let Some(base) = l.row_block_addr(band, g, rows, cols) else {
+                                    continue;
+                                };
+                                let mut expect = base;
+                                for r in band..band + rows {
+                                    for c in g..g + cols {
+                                        assert_eq!(l.addr(r, c), expect, "{fam:?} at ({r}, {c})");
+                                        expect += e;
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // The claim is not vacuous: tiled claims exactly its aligned tiles.
+        let t = Tiled::new(&params(64), 8, 16).unwrap();
+        assert_eq!(t.row_block_addr(8, 16, 8, 16), Some(t.addr(8, 16)));
+        assert!(t.row_block_addr(4, 16, 8, 16).is_none(), "misaligned band");
+        assert!(t.row_block_addr(8, 8, 8, 16).is_none(), "misaligned column");
+        assert!(t.row_block_addr(8, 16, 8, 8).is_none(), "wrong shape");
+        assert!(RowMajor::new(&params(64))
+            .row_block_addr(0, 0, 1, 64)
+            .is_none());
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! accesses `(base, count, stride)`. The layout states its contiguity
 //! in O(1) ([`MatrixLayout::row_run`] along rows,
 //! [`MatrixLayout::row_stride`] down columns,
-//! [`MatrixLayout::group_block_addr`] for whole blocks), so a walk costs
+//! [`MatrixLayout::group_block_addr`] and
+//! [`MatrixLayout::row_block_addr`] for whole blocks), so a walk costs
 //! one virtual [`MatrixLayout::addr`] call per *segment*, never one per
 //! element.
 //!
@@ -65,10 +66,13 @@ enum Within {
 /// visited in [`CellOrder`], each cell visited in [`Within`] order.
 ///
 /// Segment regimes, coarsest first:
-/// * **whole cell** (`DownColumns`, no constant row stride) — the
-///   layout stores each aligned cell contiguously in the walk's order
-///   ([`MatrixLayout::group_block_addr`]): one unit-stride segment per
-///   cell. The block families' grouped column phase and write-back.
+/// * **whole cell** — the layout stores each aligned cell contiguously
+///   in the walk's order: one unit-stride segment per cell. Down
+///   columns (no constant row stride) that is
+///   [`MatrixLayout::group_block_addr`] — the block families' grouped
+///   column phase and write-back; along rows it is
+///   [`MatrixLayout::row_block_addr`] — the tiled family's tile sweep
+///   and tile write-back.
 /// * **column** (`DownColumns`, constant [`MatrixLayout::row_stride`])
 ///   — one segment per column of a cell; the column phase of a group of
 ///   one uses whole-matrix-tall cells, so this is one segment per
@@ -118,17 +122,21 @@ impl<'a> Walk<'a> {
             "empty {cell_rows}×{cell_cols} walk cell"
         );
         let row_stride = layout.row_stride();
-        // The whole-cell regime needs unragged cells of the layout's
-        // column-run height and a layout that stores the first cell
-        // contiguously; by the `group_block_addr` contract
-        // (alignment-only conditions) every later cell is then
-        // contiguous too.
-        let block = matches!(within, Within::DownColumns)
-            && row_stride.is_none()
-            && cell_rows == layout.column_run()
-            && n.is_multiple_of(cell_rows)
+        // The whole-cell regime needs unragged cells and a layout that
+        // stores the first cell contiguously (down columns: of the
+        // layout's column-run height); by the `group_block_addr` /
+        // `row_block_addr` contracts (alignment-only conditions) every
+        // later cell is then contiguous too.
+        let block = n.is_multiple_of(cell_rows)
             && n.is_multiple_of(cell_cols)
-            && layout.group_block_addr(0, 0, cell_cols).is_some();
+            && match within {
+                Within::DownColumns => {
+                    row_stride.is_none()
+                        && cell_rows == layout.column_run()
+                        && layout.group_block_addr(0, 0, cell_cols).is_some()
+                }
+                Within::AlongRows => layout.row_block_addr(0, 0, cell_rows, cell_cols).is_some(),
+            };
         Walk {
             layout,
             n,
@@ -160,13 +168,14 @@ impl Iterator for Walk<'_> {
         let cols = self.cell_cols.min(self.n - self.g);
         let (seg, cell_done) = if self.block {
             // The element expansion (base, base+e, …) is exactly the
-            // columns-outer / rows-inner visit order: that is the
-            // `group_block_addr` contract.
+            // cell's visit order: that is the `group_block_addr` /
+            // `row_block_addr` contract.
+            let base = match self.within {
+                Within::DownColumns => self.layout.group_block_addr(self.band, self.g, cols),
+                Within::AlongRows => self.layout.row_block_addr(self.band, self.g, rows, cols),
+            };
             let seg = Seg {
-                base: self
-                    .layout
-                    .group_block_addr(self.band, self.g, cols)
-                    .expect("every aligned cell of an engaged block regime is contiguous"),
+                base: base.expect("every aligned cell of an engaged block regime is contiguous"),
                 count: (rows * cols) as u64,
                 stride: self.elem,
             };

@@ -40,6 +40,13 @@ pub struct RunPacing {
     pub horizon: Picos,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Fused-loop iterations of [`VaultController::service_paced_run`]
+    /// on this thread, so tests can prove the steady-state jump engages.
+    static PACED_LOOP_ITERATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// What a paced run hands back to the driver: the advanced kernel clock
 /// and the completion times the driver observes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -325,6 +332,31 @@ impl VaultController {
     /// single-element row misses — resolve at a few nanoseconds per
     /// beat instead of a full driver/system/controller round trip each.
     ///
+    /// **Steady-state jump.** The fused loop is a max-plus recurrence:
+    /// each beat's clocks are maxima and sums of the previous beat's
+    /// clocks and constants. Adding a common Δ to every clock of the
+    /// state therefore adds Δ to every later beat — *shift covariance* —
+    /// as long as nothing in the beat is pinned to an absolute time:
+    /// the vault gate is spent (zero), and the arrival is the raw
+    /// reading `(t_kernel_fs − window_fs) / 1000` — the window
+    /// subtraction does not saturate, the reading is at or past
+    /// `floor`, and it fits a [`Picos`]. (Δ is a whole number of
+    /// picoseconds, so the kernel clock moves by Δ·1000 fs and the
+    /// integer division shifts by exactly Δ.) Once a covariant beat
+    /// ends in the same state as the beat before, measured from its
+    /// completion time — `t_kernel_fs − done·1000`, `done − last
+    /// activate`, `done − last column` — every later beat repeats it
+    /// shifted by Δ = the gap between the two completions, with the same
+    /// latency, one `row_step` further along. The loop then advances
+    /// *k* beats in closed form: *k*·Δ on every clock, `k·row_step` on
+    /// the row, *k*·latency on the latency sum. *k* stops short of the
+    /// run's end, of [`RunPacing::probe_beat`] (served by the loop, so
+    /// its completion is observed directly) and of the first beat whose
+    /// grant — the next grant plus *j*·Δ — reaches the horizon; a jump
+    /// whose arithmetic would overflow is not taken. This turns the
+    /// baseline column phase, where every beat is one `t_diff_row`
+    /// apart, from one loop iteration per beat into a handful per run.
+    ///
     /// Beats are served only while their grant is strictly before
     /// [`RunPacing::horizon`]; the returned [`RunServed::beats`] counts
     /// the served prefix, which is zero when beat 0 is not due.
@@ -416,12 +448,25 @@ impl VaultController {
         // Last activate issued by the fused loop; read back only when the
         // loop served a beat, so never as its initial value.
         let mut last_act = Picos::ZERO;
+        // The previous fused beat's state measured from its completion:
+        // (t_fs − done·1000, done − last activate, done − last column).
+        let mut prev_rel = None;
         let mut served = 1;
-        for i in 1..beats as u64 {
+        while served < beats {
+            let i = served as u64;
             let at = arrive(t_fs);
             if at.max(tsv_free) >= pacing.horizon {
                 break;
             }
+            #[cfg(test)]
+            PACED_LOOP_ITERATIONS.with(|n| n.set(n.get() + 1));
+            // This beat is shift-covariant when its arrival is the raw
+            // kernel-clock reading — neither floored, nor saturated, nor
+            // cut off by the window. (The vault gate is spent after beat
+            // 1, and beat 2 is the first with a previous fused beat to
+            // compare against.)
+            let covariant = t_fs.checked_sub(pacing.window_fs).map(|r| r / FS_PER_PS)
+                == Some(at.as_ps() as u128);
             served += 1;
             row += row_step;
             let act_start = at
@@ -432,6 +477,7 @@ impl VaultController {
             vault_gate = Picos::ZERO;
             let col_start = (act_start + t.t_activate).max(bank.next_column_after(t.t_in_row));
             bank.last_column = Some(col_start);
+            let prev_done = done;
             let bus_start = (col_start + t.t_column).max(tsv_free);
             done = bus_start + transfer;
             tsv_free = done;
@@ -442,6 +488,58 @@ impl VaultController {
             if pacing.probe_beat == Some(i) {
                 probe_done = Some(done);
             }
+
+            // Steady state: this beat left the same relative state as
+            // the one before, so every later beat repeats it shifted by
+            // `delta` (see the method docs) — jump over as many as the
+            // run, the probe and the horizon allow.
+            let rel = (
+                t_fs - done.as_ps() as u128 * FS_PER_PS,
+                done - last_act,
+                done - col_start,
+            );
+            if covariant && prev_rel == Some(rel) {
+                let delta = (done - prev_done).as_ps();
+                // Caps wider than the u32 beat count cannot bind.
+                let cap = |x: u64| u32::try_from(x).unwrap_or(u32::MAX);
+                let mut k = beats - served;
+                if let Some(p) = pacing.probe_beat.filter(|&p| p >= u64::from(served)) {
+                    k = k.min(cap(p - u64::from(served)));
+                }
+                let grant = arrive(t_fs).max(tsv_free);
+                if grant >= pacing.horizon {
+                    k = 0;
+                } else if let Some(q) =
+                    (pacing.horizon.as_ps() - 1 - grant.as_ps()).checked_div(delta)
+                {
+                    // The last jumped grant, `grant + (k−1)·delta`, stays
+                    // before the horizon; a zero delta never reaches it.
+                    k = k.min(cap(q + 1));
+                }
+                let jump = delta.checked_mul(u64::from(k)).and_then(|d| {
+                    let done_k = done.as_ps().checked_add(d)?;
+                    let lat_k = latency_sum
+                        .as_ps()
+                        .checked_add(lat.as_ps().checked_mul(u64::from(k))?)?;
+                    let t_fs_k = t_fs.checked_add(u128::from(d) * FS_PER_PS)?;
+                    // Every jumped arrival must stay unsaturated.
+                    u64::try_from(t_fs_k.checked_sub(pacing.window_fs)? / FS_PER_PS).ok()?;
+                    let rows = usize::try_from(k).ok()?.checked_mul(row_step)?;
+                    Some((Picos(d), Picos(done_k), Picos(lat_k), t_fs_k, rows))
+                });
+                if let Some((d, done_k, lat_k, t_fs_k, rows)) = jump.filter(|_| k > 0) {
+                    served += k;
+                    row += rows;
+                    last_act += d;
+                    bank.last_activate = Some(last_act);
+                    bank.last_column = Some(col_start + d);
+                    done = done_k;
+                    tsv_free = done_k;
+                    latency_sum = lat_k;
+                    t_fs = t_fs_k;
+                }
+            }
+            prev_rel = Some(rel);
         }
 
         // Write the final state and the batched statistics delta back —
@@ -714,10 +812,61 @@ mod tests {
         );
     }
 
-    /// `service_paced_run` must equal a hand-rolled scalar loop applying
-    /// the driver's pacing law beat by beat — in the returned clock and
-    /// completion times, the statistics, and all subsequent scheduling
-    /// behaviour (probed with follow-up requests).
+    /// The driver's scalar loop over a paced strided run: one
+    /// [`service`](VaultController::service) per beat under the pacing
+    /// law, stopping before the first beat whose grant
+    /// (`max(arrival, tsv_free_at)`) reaches the horizon. Also returns
+    /// each served beat's grant.
+    fn scalar_paced(
+        c: &mut VaultController,
+        loc: Location,
+        bytes: u32,
+        dir: Direction,
+        row_step: usize,
+        beats: u32,
+        pacing: &RunPacing,
+    ) -> (RunServed, Vec<Picos>) {
+        let mut served = RunServed {
+            beats: 0,
+            t_kernel_fs: pacing.t_kernel_fs,
+            last_done: Picos::ZERO,
+            probe_done: None,
+        };
+        let mut grants = Vec::new();
+        for i in 0..beats as u64 {
+            let t_fs = served.t_kernel_fs;
+            let at =
+                Picos((t_fs.saturating_sub(pacing.window_fs) / 1_000) as u64).max(pacing.floor);
+            let grant = at.max(c.tsv_free_at());
+            if grant >= pacing.horizon {
+                break;
+            }
+            grants.push(grant);
+            let beat_loc = Location {
+                row: loc.row + i as usize * row_step,
+                ..loc
+            };
+            let out = c.service(Request {
+                loc: beat_loc,
+                bytes,
+                dir,
+                at,
+            });
+            served.beats += 1;
+            served.t_kernel_fs = t_fs.max(out.done.as_ps() as u128 * 1_000) + pacing.op_fs;
+            served.last_done = out.done;
+            if pacing.probe_beat == Some(i) {
+                served.probe_done = Some(out.done);
+            }
+        }
+        (served, grants)
+    }
+
+    /// `service_paced_run` must equal [`scalar_paced`] — in the served
+    /// prefix, the returned clock and completion times, the statistics,
+    /// the whole controller state and all subsequent scheduling
+    /// behaviour (probed with follow-up requests). Returns the served
+    /// prefix.
     fn assert_paced_matches_scalar(
         mut c: VaultController,
         loc: Location,
@@ -726,42 +875,22 @@ mod tests {
         row_step: usize,
         beats: u32,
         pacing: RunPacing,
-    ) {
+    ) -> RunServed {
         let mut scalar = c.clone();
         let served = c.service_paced_run(loc, bytes, dir, row_step, beats, &pacing);
-
-        let mut t_fs = pacing.t_kernel_fs;
-        let mut probe = None;
-        let mut last = Picos::ZERO;
-        for i in 0..beats as u64 {
-            let at =
-                Picos((t_fs.saturating_sub(pacing.window_fs) / 1_000) as u64).max(pacing.floor);
-            let beat_loc = Location {
-                row: loc.row + i as usize * row_step,
-                ..loc
-            };
-            let out = scalar.service(Request {
-                loc: beat_loc,
-                bytes,
-                dir,
-                at,
-            });
-            t_fs = t_fs.max(out.done.as_ps() as u128 * 1_000) + pacing.op_fs;
-            if pacing.probe_beat == Some(i) {
-                probe = Some(out.done);
-            }
-            last = out.done;
-        }
-        assert_eq!(served.beats, beats, "controller serves all requested beats");
-        assert_eq!(served.t_kernel_fs, t_fs, "kernel clock diverged");
-        assert_eq!(served.last_done, last, "last completion diverged");
-        assert_eq!(served.probe_done, probe, "probe diverged");
+        let (expect, _) = scalar_paced(&mut scalar, loc, bytes, dir, row_step, beats, &pacing);
+        assert_eq!(served, expect, "served prefix diverged");
         assert_eq!(c.stats(), scalar.stats(), "statistics diverged");
+        assert_eq!(
+            format!("{c:?}"),
+            format!("{scalar:?}"),
+            "controller state diverged"
+        );
         // State must be indistinguishable afterwards: probe the run's
         // bank (open row, then a conflict) and a different layer.
         for probe_loc in [
             Location {
-                row: loc.row + (beats as usize - 1) * row_step,
+                row: loc.row + (served.beats.max(1) as usize - 1) * row_step,
                 col: 0,
                 ..loc
             },
@@ -790,34 +919,47 @@ mod tests {
             );
         }
         assert_eq!(c.stats(), scalar.stats());
+        served
+    }
+
+    /// A controller with a few random prior requests somewhere in its
+    /// vault.
+    fn warmed_ctl(rng: &mut sim_util::SimRng) -> VaultController {
+        let geom = Geometry::default();
+        let mut c = VaultController::new(0, geom, TimingParams::default());
+        for _ in 0..rng.gen_range(0usize..4) {
+            let warm = Location {
+                vault: 0,
+                layer: rng.gen_range(0usize..geom.layers),
+                bank: rng.gen_range(0usize..geom.banks_per_layer),
+                row: rng.gen_range(0usize..64),
+                col: 0,
+            };
+            c.service(Request::read(warm, 64).arriving_at(Picos(rng.gen_range(0u64..1 << 20))));
+        }
+        c
+    }
+
+    /// A random run start in vault 0.
+    fn random_loc(rng: &mut sim_util::SimRng) -> Location {
+        let geom = Geometry::default();
+        Location {
+            vault: 0,
+            layer: rng.gen_range(0usize..geom.layers),
+            bank: rng.gen_range(0usize..geom.banks_per_layer),
+            row: rng.gen_range(0usize..32),
+            col: rng.gen_range(0u32..64) * 8,
+        }
     }
 
     #[test]
     fn paced_run_matches_scalar_driver_law() {
         use sim_util::prop_check;
         prop_check!(cases: 64, |rng| {
-            let geom = Geometry::default();
-            let mut c = VaultController::new(0, geom, TimingParams::default());
-            // Random prior state: a few requests somewhere in the vault.
-            for _ in 0..rng.gen_range(0usize..4) {
-                let warm = Location {
-                    vault: 0,
-                    layer: rng.gen_range(0usize..geom.layers),
-                    bank: rng.gen_range(0usize..geom.banks_per_layer),
-                    row: rng.gen_range(0usize..64),
-                    col: 0,
-                };
-                c.service(Request::read(warm, 64).arriving_at(Picos(rng.gen_range(0u64..1 << 20))));
-            }
+            let c = warmed_ctl(rng);
             let beats = rng.gen_range(2u32..40);
             let row_step = rng.gen_range(1usize..4);
-            let loc = Location {
-                vault: 0,
-                layer: rng.gen_range(0usize..geom.layers),
-                bank: rng.gen_range(0usize..geom.banks_per_layer),
-                row: rng.gen_range(0usize..32),
-                col: rng.gen_range(0u32..64) * 8,
-            };
+            let loc = random_loc(rng);
             let bytes = 1 << rng.gen_range(0u32..7);
             let dir = if rng.gen_bool() { Direction::Read } else { Direction::Write };
             let pacing = RunPacing {
@@ -828,8 +970,111 @@ mod tests {
                 probe_beat: rng.gen_bool().then(|| rng.gen_range(0u64..beats as u64)),
                 horizon: Picos::MAX,
             };
+            let served = assert_paced_matches_scalar(c, loc, bytes, dir, row_step, beats, pacing);
+            assert_eq!(served.beats, beats, "an unbounded horizon serves every beat");
+        });
+    }
+
+    #[test]
+    fn long_paced_runs_jump_exactly() {
+        // Runs long enough to reach their steady state and jump: from
+        // memory-bound, kernel-bound and floor-bound starts, with
+        // sub-picosecond kernel rates, a latency probe anywhere (most
+        // often inside the would-be jump) and horizons exactly at, just
+        // before and just after a late beat's grant.
+        use sim_util::prop_check;
+        prop_check!(cases: 48, |rng| {
+            let c = warmed_ctl(rng);
+            let beats = rng.gen_range(200u32..4000);
+            let row_step = rng.gen_range(1usize..3);
+            let loc = random_loc(rng);
+            let bytes = 1 << rng.gen_range(0u32..7);
+            let dir = if rng.gen_bool() { Direction::Read } else { Direction::Write };
+            // A remainder that keeps `op_fs` off whole picoseconds.
+            let frac = if rng.gen_bool() { rng.gen_range(1u64..1000) } else { 0 };
+            let (t_kernel_fs, window_fs, op_ps, floor) = match rng.gen_range(0usize..3) {
+                // Memory-bound: a beat is consumed far faster than the
+                // bank re-activates (t_diff_row = 20 ns).
+                0 => (
+                    rng.gen_range(0u64..1 << 40),
+                    rng.gen_range(0u64..1 << 40),
+                    rng.gen_range(0u64..10_000),
+                    Picos(rng.gen_range(0u64..1 << 20)),
+                ),
+                // Kernel-bound: consumption outlasts t_diff_row.
+                1 => (
+                    rng.gen_range(0u64..1 << 40),
+                    rng.gen_range(0u64..1 << 30),
+                    rng.gen_range(21_000u64..200_000),
+                    Picos(rng.gen_range(0u64..1 << 20)),
+                ),
+                // Floor-bound start: a late phase start pins the
+                // arrivals — for up to thousands of beats, while the
+                // kernel clock catches up with the window.
+                _ => {
+                    let window = rng.gen_range(1u64 << 30..1 << 37);
+                    (
+                        window + rng.gen_range(0u64..1 << 30),
+                        window,
+                        rng.gen_range(0u64..40_000),
+                        Picos(rng.gen_range(1u64 << 20..1 << 30)),
+                    )
+                }
+            };
+            let mut pacing = RunPacing {
+                t_kernel_fs: t_kernel_fs as u128,
+                window_fs: window_fs as u128,
+                op_fs: op_ps as u128 * 1_000 + frac as u128,
+                floor,
+                probe_beat: rng.gen_bool().then(|| rng.gen_range(0u64..beats as u64)),
+                horizon: Picos::MAX,
+            };
+            if rng.gen_range(0usize..4) > 0 {
+                let (_, grants) =
+                    scalar_paced(&mut c.clone(), loc, bytes, dir, row_step, beats, &pacing);
+                let g = grants[rng.gen_range(grants.len() / 2..grants.len())];
+                pacing.horizon = match rng.gen_range(0usize..3) {
+                    0 => g,
+                    1 => g + Picos(1),
+                    _ => g.saturating_sub(Picos(1)),
+                };
+            }
             assert_paced_matches_scalar(c, loc, bytes, dir, row_step, beats, pacing);
         });
+    }
+
+    #[test]
+    fn steady_run_jumps_instead_of_stepping() {
+        // The baseline column shape: a memory-bound 4000-beat run, every
+        // beat a row miss one `t_diff_row` after the last. It must reach
+        // its steady state within a few beats and jump the rest — around
+        // the probe too — not iterate once per beat.
+        let pacing = RunPacing {
+            t_kernel_fs: 0,
+            window_fs: 0,
+            op_fs: 31_250,
+            floor: Picos::ZERO,
+            probe_beat: Some(2500),
+            horizon: Picos::MAX,
+        };
+        let iterations = || PACED_LOOP_ITERATIONS.with(|n| n.get());
+        let before = iterations();
+        let served = assert_paced_matches_scalar(
+            ctl(),
+            loc(1, 3, 0, 8),
+            8,
+            Direction::Read,
+            2,
+            4000,
+            pacing,
+        );
+        let looped = iterations() - before;
+        assert_eq!(served.beats, 4000);
+        assert!(served.probe_done.is_some());
+        assert!(
+            looped < 16,
+            "{looped} loop iterations for a 4000-beat steady run: the jump did not engage"
+        );
     }
 
     #[test]

@@ -56,7 +56,9 @@
 //!   the controller replays the driver's exact per-beat arithmetic in a
 //!   fused register-resident loop — the paper's worst-case strided
 //!   column sweep drops from a full round trip per element to a few
-//!   arithmetic operations;
+//!   arithmetic operations, and once the loop reaches its steady state
+//!   (each beat one `t_diff_row` after the last) it jumps the rest of
+//!   the bank stretch in closed form;
 //! * **event-driven span classification** — the layer above:
 //!   [`MemorySystem::service_paced_span`] classifies a whole pulled run
 //!   against controller state and either fuses it (same-bank closed

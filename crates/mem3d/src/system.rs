@@ -471,8 +471,10 @@ impl MemorySystem {
     ///    miss in one bank with strictly ascending rows (the baseline's
     ///    strided column sweep): the bank stretch resolves in the
     ///    controller's closed-form fused loop
-    ///    ([`VaultController::service_paced_run`]); a run crossing into
-    ///    the next bank is served stretch by stretch.
+    ///    ([`VaultController::service_paced_run`]), which jumps over
+    ///    its own steady state once consecutive beats repeat shifted by
+    ///    a constant; a run crossing into the next bank is served
+    ///    stretch by stretch.
     /// 2. **Per-beat spans** — whole-row strides whose beats hop
     ///    banks/layers/vaults each beat (the optimized DDL layouts'
     ///    grouped column phase emits these as runs of full 8 KiB row
@@ -861,7 +863,8 @@ mod tests {
             // One shape per fused class: same-bank ascending rows (the
             // closed form; refresh sends it per beat), vault-hopping
             // whole rows, and a sub-row stride dividing the row.
-            let (kind, stride, bytes) = match rng.gen_range(0usize..3) {
+            let shape = rng.gen_range(0usize..3);
+            let (kind, stride, bytes) = match shape {
                 0 => (
                     AddressMapKind::Chunked,
                     row * rng.gen_range(1u64..4),
@@ -875,7 +878,15 @@ mod tests {
                 _ => (AddressMapKind::Chunked, row >> rng.gen_range(1u32..4), 8),
             };
             let addr = rng.gen_range(0u64..64) * row;
-            let run = read_run(addr, bytes, rng.gen_range(2u32..48), stride);
+            // Same-bank runs are often long enough to reach their steady
+            // state and jump, yet stay inside their bank (at most
+            // 64 + 2699·3 < 8192 rows), so the cut span is one stretch.
+            let beats = if shape == 0 && rng.gen_bool() {
+                rng.gen_range(200u32..2700)
+            } else {
+                rng.gen_range(2u32..48)
+            };
+            let run = read_run(addr, bytes, beats, stride);
             let pacing = RunPacing {
                 t_kernel_fs: rng.gen_range(0u64..1 << 30) as u128,
                 window_fs: rng.gen_range(0u64..1 << 28) as u128,

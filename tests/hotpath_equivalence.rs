@@ -7,7 +7,7 @@
 //! layouts, geometries and driver configurations. If this holds, the
 //! hot-path overhaul is invisible to every consumer.
 
-use fft2d::{run_phase, DriverConfig, PhaseReport};
+use fft2d::{run_phase, DriverConfig, PhaseReport, ResumablePhase};
 use layout::{
     band_block_write_stream, col_phase_stream, row_phase_stream, tile_band_write_stream,
     tile_sweep_stream, BlockDynamic, LayoutParams, MatrixLayout, RowMajor, Tiled,
@@ -232,6 +232,93 @@ fn fast_and_reference_phases_are_byte_identical() {
             "device statistics diverged for n = {}",
             n
         );
+    });
+}
+
+#[test]
+fn baseline_column_steady_state_jump_is_byte_identical() {
+    // A geometry with small memory rows puts every element of a
+    // row-major column in its own row of one bank, so the baseline
+    // column phase is a train of long same-bank runs that reach their
+    // steady state and jump. The jumping Fast path must equal the
+    // scalar Reference path run to completion, and also when
+    // `ResumablePhase::step_until` slices the phase at random horizons.
+    par_check!(cases: 12, |rng| {
+        let n = 256usize << rng.gen_range(0u32..2); // 256, 512
+        let row_bytes = 256usize << rng.gen_range(0u32..4); // 256..=2048
+        // Fewer rows per bank split each column into bank stretches;
+        // more banks keep the whole matrix on the device.
+        let split = rng.gen_range(0u32..3);
+        let geom = Geometry {
+            vaults: 1 << rng.gen_range(0u32..2),
+            layers: 1 << rng.gen_range(0u32..2),
+            banks_per_layer: 1 << split,
+            rows_per_bank: (n * n * 8 / row_bytes) >> split,
+            row_bytes,
+        };
+        let timing = TimingParams::default();
+        let cfg = DriverConfig {
+            ps_per_byte: [3.9, 31.25, 125.0][rng.gen_range(0usize..3)],
+            window_bytes: 1u64 << rng.gen_range(10u32..19),
+            write_delay: Picos::ZERO,
+            latency_probe_bytes: if rng.gen_bool() {
+                rng.gen_range(1u64..(n * n * 8) as u64)
+            } else {
+                0
+            },
+        };
+        let start = Picos(rng.gen_range(0u64..1 << 40));
+        let p = LayoutParams::for_device(n, &geom, &timing);
+        let l = RowMajor::new(&p);
+
+        let (fast, reference, mem_fast, mem_ref) = phase_both_paths(
+            geom,
+            timing,
+            &cfg,
+            start,
+            (
+                &mut col_phase_stream(&l, Direction::Read, 1),
+                &mut col_phase_stream(&l, Direction::Read, 1),
+            ),
+            l.map_kind(),
+            None,
+        );
+        // The shape really is the same-bank class: a column's first
+        // stretch covers hundreds of beats.
+        let (_, _, fit) = mem_fast
+            .address_map(l.map_kind())
+            .stride_run_location(0, (n * 8) as u64, n as u32)
+            .expect("a column strides rows of one bank");
+        prop_assert!(fit as usize >= n / 4, "stretch of {fit} beats");
+        prop_assert!(
+            fast == reference,
+            "reports diverged for n = {n}:\n  fast:      {fast:?}\n  reference: {reference:?}"
+        );
+        prop_assert_eq!(mem_fast.stats(), mem_ref.stats());
+
+        let mut mem = MemorySystem::new(geom, timing);
+        let mut phase = ResumablePhase::new(
+            &mem,
+            &cfg,
+            Box::new(col_phase_stream(&l, Direction::Read, 1)),
+            l.map_kind(),
+            None,
+            start,
+        )
+        .expect("resumable phase");
+        while let Some(next) = phase.peek() {
+            let horizon = match rng.gen_range(0usize..8) {
+                0 => Picos::MAX,
+                1 => Picos::ZERO,
+                _ => {
+                    let reach = 1u64 << rng.gen_range(10u32..24);
+                    next.arrive + Picos(rng.gen_range(0..reach))
+                }
+            };
+            phase.step_until(&mut mem, horizon).expect("step");
+        }
+        prop_assert_eq!(phase.finish(&mut mem).expect("finish"), reference);
+        prop_assert_eq!(mem.stats(), mem_ref.stats());
     });
 }
 

@@ -24,6 +24,34 @@ fn baseline_column_phase_utilization_band() {
     );
 }
 
+/// Table 1, baseline row, as an absolute oracle rather than a band:
+/// every column element sits behind a row activation in one bank (two
+/// elements per memory row at 512, one from 1024 up), so the column
+/// phase runs at exactly one activation per `t_diff_row`. The simulated
+/// duration must equal `activations × t_diff_row` to within one beat's
+/// latency, which turns README's "0.80 / 0.40 / 0.40 GB/s (exact)" row
+/// into a checked claim.
+#[test]
+fn baseline_column_phase_is_one_activation_per_t_diff_row() {
+    let sys = System::default();
+    let t = sys.config().timing;
+    let beat = t.t_activate + t.t_column + t.tsv_ps_per_byte * 8;
+    for (n, gbps) in [(512usize, "0.80"), (1024, "0.40"), (2048, "0.40")] {
+        let r = sys.column_phase(Architecture::Baseline, n).unwrap();
+        let bytes = (n * n * 8) as u64;
+        let per_row = (sys.config().geometry.row_bytes as u64 / (n as u64 * 8)).max(1);
+        assert_eq!(r.activations, bytes / 8 / per_row, "{n}");
+        let duration_ps = bytes as f64 * 1_000.0 / r.throughput_gbps;
+        let oracle_ps = (r.activations * t.t_diff_row.as_ps()) as f64;
+        assert!(
+            (duration_ps - oracle_ps).abs() <= beat.as_ps() as f64,
+            "{n}: duration {duration_ps} ps vs {} activations × t_diff_row = {oracle_ps} ps",
+            r.activations
+        );
+        assert_eq!(format!("{:.2}", r.throughput_gbps), gbps, "{n}");
+    }
+}
+
 /// Table 1, optimized row: the dynamic data layout lifts the column
 /// phase to the kernel's 40%-of-peak ceiling — a ~40x utilization gain.
 #[test]
