@@ -46,8 +46,8 @@
 //! proven equal to it.
 
 use mem3d::{
-    AddressMapKind, MemorySystem, Picos, RequestSource, RunPacing, RunServed, SpanOutcome, Stats,
-    TraceOp, TraceRun,
+    AddressMapKind, Direction, MemorySystem, Picos, RequestSource, RunPacing, RunServed,
+    SpanOutcome, Stats, TraceOp, TraceRun, TraceTrain,
 };
 use sim_util::pool::ExclusivePool;
 
@@ -232,67 +232,202 @@ struct DriverState {
     /// from a [`PhaseWorkspace`] and handed back (capacity intact) by
     /// [`finish`](Self::finish), so a warmed driver never reallocates it.
     pending: PendingWrites,
-    /// The unserved rest of the last read run pulled off the stream.
+    /// Payload bytes of the read stream, known up front.
+    read_total: u64,
+    /// The unserved rest of the current read run.
     run: Option<TraceRun>,
-    /// Whether `run` may still fuse: set per pulled run when there is no
-    /// write side (writes need per-beat attention), cleared once the
-    /// span classifier declares the run's shape unfusable — the
-    /// amortized run-probe gate, one branch per beat after that.
+    /// Whether `run` may still fuse: set per run when there is no write
+    /// side (writes need per-beat attention), cleared once the span
+    /// classifier declares the run's shape unfusable — the amortized
+    /// run-probe gate, one branch per beat after that.
     fuse: bool,
+    /// Whole runs queued behind `run` ([`pull`](Self::pull) gathers
+    /// them): `queued` runs shaped like `next`, the first at `next`,
+    /// each `step` bytes past the one before.
+    queued: u32,
+    next: TraceRun,
+    step: u64,
+    /// The first pulled run that did not join the queue.
+    ahead: Option<TraceRun>,
+    /// The read stream has run dry.
+    drained: bool,
 }
 
 impl DriverState {
+    /// A phase over a read stream of `read_total` bytes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Fft2dError::Driver`] for an invalid kernel rate, and
+    /// for a rate so slow that the prefetch window or the kernel's
+    /// time for the whole read stream (from `start`, plus the write
+    /// delay) overflows the clocks.
     fn new(
         cfg: &DriverConfig,
         read_map: AddressMapKind,
         write_map: Option<AddressMapKind>,
         start: Picos,
         pending: PendingWrites,
+        read_total: u64,
     ) -> Result<Self, Fft2dError> {
         debug_assert!(pending.is_empty(), "pooled queue must arrive cleared");
         let rate_fs = fs_per_byte(cfg.ps_per_byte)?;
+        let start_fs = start.as_ps() as u128 * FS_PER_PS;
+        let kernel_end = u128::from(read_total)
+            .checked_mul(rate_fs)
+            .and_then(|busy| busy.checked_add(start_fs))
+            .and_then(|fs| u64::try_from(fs.div_ceil(FS_PER_PS)).ok())
+            .and_then(|ps| ps.checked_add(cfg.write_delay.as_ps()));
+        let window_fs = u128::from(cfg.window_bytes).checked_mul(rate_fs);
+        let (Some(window_fs), Some(_)) = (window_fs, kernel_end) else {
+            return Err(Fft2dError::Driver(format!(
+                "kernel rate {} ps/byte overflows the clock over {read_total} bytes",
+                cfg.ps_per_byte
+            )));
+        };
         Ok(DriverState {
             read_map,
             write_map,
             rate_fs,
-            window_fs: cfg.window_bytes as u128 * rate_fs,
+            window_fs,
             write_delay: cfg.write_delay,
             latency_probe_bytes: cfg.latency_probe_bytes,
             start,
-            t_kernel_fs: start.as_ps() as u128 * FS_PER_PS,
+            t_kernel_fs: start_fs,
             consumed: 0,
             produced: 0,
             probe_done: Picos::ZERO,
             last_beat: start,
             next_write: None,
             pending,
+            read_total,
             run: None,
             fuse: false,
+            queued: 0,
+            next: TraceRun::single(TraceOp {
+                addr: 0,
+                bytes: 0,
+                dir: Direction::Read,
+            }),
+            step: 0,
+            ahead: None,
+            drained: false,
         })
     }
 
     /// The current read run, pulling the next non-empty one off `reads`
     /// once the last is used up; `None` when the read side is
     /// exhausted. Never touches the memory system.
+    ///
+    /// On the fused path a freshly pulled run gathers a **train**: every
+    /// following run that repeats it moved by one constant forward step
+    /// (the next column of a row-major column sweep) is queued behind
+    /// it, and the first run that does not is kept for later. The
+    /// memory system decides how much of the train it can serve at
+    /// once ([`MemorySystem::service_paced_span`]).
     fn pull(&mut self, reads: &mut dyn RequestSource) -> Option<TraceRun> {
-        while self.run.is_none() {
-            let run = reads.next_run()?;
-            if run.beats > 0 {
+        if self.run.is_none() {
+            if self.queued > 0 {
+                self.take_queued();
+            } else {
+                let run = loop {
+                    let Some(run) = self.ahead.take().or_else(|| reads.next_run()) else {
+                        self.drained = true;
+                        return None;
+                    };
+                    if run.beats > 0 {
+                        break run;
+                    }
+                };
                 self.run = Some(run);
                 self.fuse = run.op.bytes > 0 && self.write_map.is_none();
+                if self.fuse && run.beats > 1 {
+                    self.gather(reads, run);
+                }
             }
         }
         self.run
     }
 
-    /// Drops the first `beats` beats of the current run.
-    fn consume(&mut self, beats: u32) {
-        if let Some(run) = &mut self.run {
-            run.beats -= beats;
-            if run.beats == 0 {
-                self.run = None;
-            } else {
+    /// Queues every run after `first` that repeats it moved by one
+    /// constant forward step, keeping the first one that does not.
+    fn gather(&mut self, reads: &mut dyn RequestSource, first: TraceRun) {
+        let mut last = first;
+        while self.queued < u32::MAX {
+            let Some(run) = reads.next_run() else { break };
+            let step = match self.queued {
+                0 => run.op.addr.checked_sub(last.op.addr).filter(|&d| d > 0),
+                _ => Some(self.step),
+            };
+            match step.filter(|&d| last.moved(d) == Some(run)) {
+                Some(d) => {
+                    if self.queued == 0 {
+                        self.next = run;
+                        self.step = d;
+                    }
+                    self.queued += 1;
+                    last = run;
+                }
+                None => {
+                    self.ahead = Some(run);
+                    break;
+                }
+            }
+        }
+    }
+
+    /// Makes the next queued run current.
+    fn take_queued(&mut self) {
+        self.queued -= 1;
+        self.run = Some(self.next);
+        self.fuse = self.next.op.bytes > 0 && self.write_map.is_none();
+        // Past the last queued run `next` is never read again.
+        self.next.op.addr = self.next.op.addr.wrapping_add(self.step);
+    }
+
+    /// The current run and the whole runs queued behind it, as a train
+    /// for the memory system: a run already partly served goes alone.
+    fn train(&self, run: TraceRun) -> TraceTrain {
+        if self.queued > 0 && run.beats == self.next.beats {
+            TraceTrain {
+                run,
+                repeats: self.queued,
+                step: self.step,
+            }
+        } else {
+            run.into()
+        }
+    }
+
+    /// Drops the first `beats` beats of the current run and, when a
+    /// train span ran past it, of the queued runs behind it (whole
+    /// runs skipped in O(1)).
+    fn consume(&mut self, mut beats: u32) {
+        while let Some(run) = &mut self.run {
+            if beats < run.beats {
+                run.beats -= beats;
                 run.op.addr += beats as u64 * run.stride;
+                return;
+            }
+            beats -= run.beats;
+            self.run = None;
+            if beats == 0 {
+                return;
+            }
+            debug_assert!(self.queued > 0, "a span ran past the end of its train");
+            if self.queued == 0 {
+                return;
+            }
+            let whole = (beats / self.next.beats).min(self.queued);
+            self.queued -= whole;
+            self.next.op.addr = self
+                .next
+                .op
+                .addr
+                .wrapping_add((whole as u64).wrapping_mul(self.step));
+            beats -= whole * self.next.beats;
+            if beats > 0 && self.queued > 0 {
+                self.take_queued();
             }
         }
     }
@@ -339,9 +474,11 @@ impl DriverState {
         }
         while let Some(run) = self.pull(reads) {
             if self.fuse && run.beats > 1 {
-                let probe_beat = self.probe_beat(run.op.bytes, run.beats);
+                let train = self.train(run);
+                let beats = u64::from(run.beats) * (u64::from(train.repeats) + 1);
+                let probe_beat = self.probe_beat(run.op.bytes, beats);
                 let pacing = self.pacing(run.op.bytes, probe_beat, horizon);
-                match mem.service_paced_span(self.read_map, run, &pacing) {
+                match mem.service_paced_span(self.read_map, train, &pacing) {
                     SpanOutcome::Served(served) if served.beats == 0 => break,
                     SpanOutcome::Served(served) => {
                         self.apply_served(&served, run.op.bytes);
@@ -422,9 +559,9 @@ impl DriverState {
         Ok(out.done)
     }
 
-    /// Beat index (within a `beats`-long run of `bytes`-sized beats) the
-    /// latency probe fires on, if it falls inside the run.
-    fn probe_beat(&self, bytes: u32, beats: u32) -> Option<u64> {
+    /// Beat index (within `beats` beats of `bytes` bytes each) the
+    /// latency probe fires on, if it falls inside them.
+    fn probe_beat(&self, bytes: u32, beats: u64) -> Option<u64> {
         if self.probe_done != Picos::ZERO || self.latency_probe_bytes == 0 {
             return None;
         }
@@ -433,7 +570,7 @@ impl DriverState {
             .saturating_sub(self.consumed)
             .div_ceil(bytes as u64)
             .max(1);
-        if nb <= beats as u64 {
+        if nb <= beats {
             Some(nb - 1)
         } else {
             None
@@ -466,11 +603,18 @@ impl DriverState {
 
     /// Drains the write tail and assembles the report, handing the
     /// (now empty) pending queue back so its capacity can be pooled.
+    ///
+    /// Once the read stream is drained, debug builds check that bytes
+    /// issued equal bytes served: the kernel consumed exactly the read
+    /// stream's total, and the memory served exactly the bytes issued on
+    /// both sides — at least them when `exclusive` is false, as other
+    /// phases may share the memory system.
     fn finish(
         mut self,
         mem: &mut MemorySystem,
         write_src: Option<&mut (dyn RequestSource + '_)>,
         before: Stats,
+        exclusive: bool,
     ) -> Result<(PhaseReport, PendingWrites), Fft2dError> {
         if let (Some(src), Some(wmap)) = (write_src, self.write_map) {
             while let Some(wop) = self.next_write.take().or_else(|| src.next()) {
@@ -493,6 +637,18 @@ impl DriverState {
         }
 
         let d = mem.stats().delta(&before);
+        if self.drained {
+            debug_assert_eq!(
+                self.consumed, self.read_total,
+                "the kernel must consume exactly the read stream's bytes"
+            );
+            let issued = self.consumed + self.produced;
+            debug_assert!(
+                d.bytes_total() == issued || (!exclusive && d.bytes_total() > issued),
+                "bytes served ({}) must equal bytes issued ({issued})",
+                d.bytes_total()
+            );
+        }
         let report = PhaseReport {
             read_bytes: d.bytes_read,
             write_bytes: d.bytes_written,
@@ -555,7 +711,6 @@ pub struct ResumablePhase<'s> {
     before: Stats,
     reads: Box<dyn RequestSource + 's>,
     writes: Option<Box<dyn RequestSource + 's>>,
-    read_total: u64,
     write_total: u64,
 }
 
@@ -567,7 +722,8 @@ impl<'s> ResumablePhase<'s> {
     ///
     /// # Errors
     ///
-    /// Returns [`Fft2dError::Driver`] for an invalid kernel rate.
+    /// Returns [`Fft2dError::Driver`] for an invalid kernel rate, or one
+    /// too slow for the phase's clocks to hold.
     pub fn new(
         mem: &MemorySystem,
         cfg: &DriverConfig,
@@ -588,7 +744,8 @@ impl<'s> ResumablePhase<'s> {
     ///
     /// # Errors
     ///
-    /// Returns [`Fft2dError::Driver`] for an invalid kernel rate.
+    /// Returns [`Fft2dError::Driver`] for an invalid kernel rate, or one
+    /// too slow for the phase's clocks to hold.
     pub fn new_in(
         ws: &mut PhaseWorkspace,
         mem: &MemorySystem,
@@ -602,10 +759,17 @@ impl<'s> ResumablePhase<'s> {
             Some((src, map)) => (Some(src), Some(map)),
             None => (None, None),
         };
+        let read_total = reads.total_bytes();
         Ok(ResumablePhase {
-            state: DriverState::new(cfg, read_map, write_map, start, ws.take_pending())?,
+            state: DriverState::new(
+                cfg,
+                read_map,
+                write_map,
+                start,
+                ws.take_pending(),
+                read_total,
+            )?,
             before: mem.stats(),
-            read_total: reads.total_bytes(),
             write_total: writes.as_ref().map_or(0, |w| w.total_bytes()),
             reads,
             writes,
@@ -622,13 +786,14 @@ impl<'s> ResumablePhase<'s> {
     /// that stays exact under concurrent tenants, where the report's
     /// statistics delta would be polluted by foreign traffic.
     pub fn total_bytes(&self) -> u64 {
-        self.read_total + self.write_total
+        self.state.read_total + self.write_total
     }
 
     /// The next read burst and its arrival time, or `None` when the
     /// read side is exhausted (call [`finish`](Self::finish)). Pulls at
-    /// most one run off the read stream; never touches the memory
-    /// system, so peeking is free to repeat between grants.
+    /// most one train of runs off the read stream (see
+    /// [`run_phase`]); never touches the memory system, so peeking is
+    /// free to repeat between grants.
     pub fn peek(&mut self) -> Option<PendingBeat> {
         let run = self.state.pull(&mut *self.reads)?;
         Some(PendingBeat {
@@ -686,7 +851,7 @@ impl<'s> ResumablePhase<'s> {
             mut writes,
             ..
         } = self;
-        let (report, _pending) = state.finish(mem, writes.as_deref_mut(), before)?;
+        let (report, _pending) = state.finish(mem, writes.as_deref_mut(), before, false)?;
         Ok(report)
     }
 
@@ -709,7 +874,7 @@ impl<'s> ResumablePhase<'s> {
             mut writes,
             ..
         } = self;
-        let (report, pending) = state.finish(mem, writes.as_deref_mut(), before)?;
+        let (report, pending) = state.finish(mem, writes.as_deref_mut(), before, false)?;
         ws.put_pending(pending);
         Ok(report)
     }
@@ -739,7 +904,8 @@ impl<'s> ResumablePhase<'s> {
 /// # Errors
 ///
 /// Returns [`Fft2dError::Mem`] if any request fails to decode and
-/// [`Fft2dError::Driver`] for an invalid kernel rate.
+/// [`Fft2dError::Driver`] for an invalid kernel rate, or one too slow
+/// for the phase's clocks to hold.
 // simlint::entry(service_path)
 pub fn run_phase(
     mem: &mut MemorySystem,
@@ -765,7 +931,8 @@ pub fn run_phase(
 /// # Errors
 ///
 /// Returns [`Fft2dError::Mem`] if any request fails to decode and
-/// [`Fft2dError::Driver`] for an invalid kernel rate.
+/// [`Fft2dError::Driver`] for an invalid kernel rate, or one too slow
+/// for the phase's clocks to hold.
 // simlint::entry(service_path)
 pub fn run_phase_in(
     ws: &mut PhaseWorkspace,
@@ -781,12 +948,19 @@ pub fn run_phase_in(
         Some((src, map)) => (Some(src), Some(map)),
         None => (None, None),
     };
-    let mut state = DriverState::new(cfg, read_map, write_map, start, ws.take_pending())?;
+    let mut state = DriverState::new(
+        cfg,
+        read_map,
+        write_map,
+        start,
+        ws.take_pending(),
+        reads.total_bytes(),
+    )?;
     while state
         .step_until(mem, reads, write_src.as_deref_mut(), Picos::MAX)?
         .is_some()
     {}
-    let (report, pending) = state.finish(mem, write_src, before)?;
+    let (report, pending) = state.finish(mem, write_src, before, true)?;
     ws.put_pending(pending);
     Ok(report)
 }
@@ -990,6 +1164,60 @@ mod tests {
             base.end.saturating_sub(base.start),
             "duration must not drift at large offsets"
         );
+    }
+
+    #[test]
+    fn hostile_kernel_rates_are_rejected_not_wrapped() {
+        // Finite but huge rates used to wrap the prefetch window
+        // (1e36 ps/B) or overflow the clock past `Picos::MAX` (1e30
+        // ps/B) — a wrong `end` in release builds, a panic in debug.
+        // Both phase front ends now refuse them up front.
+        let (mut mem, p) = setup(64);
+        let l = RowMajor::interleaved(&p);
+        let mut ws = PhaseWorkspace::new();
+        for rate in [1e36, 1e30, 1e20] {
+            let cfg = DriverConfig {
+                ps_per_byte: rate,
+                ..driver()
+            };
+            let r = run_phase_in(
+                &mut ws,
+                &mut mem,
+                &cfg,
+                &mut col_phase_stream(&l, Direction::Read, 1),
+                l.map_kind(),
+                None,
+                Picos::ZERO,
+            );
+            assert!(matches!(r, Err(Fft2dError::Driver(_))), "{rate}: {r:?}");
+            let r = ResumablePhase::new_in(
+                &mut ws,
+                &mem,
+                &cfg,
+                Box::new(col_phase_stream(&l, Direction::Read, 1)),
+                l.map_kind(),
+                None,
+                Picos::ZERO,
+            );
+            assert!(matches!(r.err(), Some(Fft2dError::Driver(_))), "{rate}");
+        }
+        assert_eq!(mem.stats().requests, 0, "nothing was served");
+        // A slow rate whose phase still fits the clock runs as before:
+        // kernel-bound, one beat's consumption after the other.
+        let cfg = DriverConfig {
+            ps_per_byte: 1e9,
+            ..driver()
+        };
+        let rep = run_phase(
+            &mut mem,
+            &cfg,
+            &mut col_phase_stream(&l, Direction::Read, 1),
+            l.map_kind(),
+            None,
+            Picos::ZERO,
+        )
+        .unwrap();
+        assert!(rep.end >= Picos(64 * 64 * 8 * 1_000_000_000));
     }
 
     #[test]

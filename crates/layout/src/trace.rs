@@ -263,6 +263,9 @@ struct SegmentStream<'a> {
     /// Current segment being expanded, with the next element's index.
     cur: Option<Seg>,
     pos: u64,
+    /// The walk's segment after `cur`, pulled early to see whether a
+    /// strided segment's last element can coalesce with what follows.
+    after: Option<Seg>,
     /// A complete burst [`next_run`](RequestSource::next_run) pulled
     /// while probing a run's end, returned before anything else.
     ahead: Option<TraceOp>,
@@ -277,6 +280,7 @@ impl<'a> SegmentStream<'a> {
             dir,
             cur: None,
             pos: 0,
+            after: None,
             ahead: None,
         }
     }
@@ -289,11 +293,19 @@ impl<'a> SegmentStream<'a> {
             match self.cur {
                 Some(s) if self.pos < s.count => return Some(s),
                 _ => {
-                    self.cur = Some(self.walk.next()?);
+                    self.cur = Some(self.after.take().or_else(|| self.walk.next())?);
                     self.pos = 0;
                 }
             }
         }
+    }
+
+    /// The segment after the current one, without consuming it.
+    fn following(&mut self) -> Option<Seg> {
+        if self.after.is_none() {
+            self.after = self.walk.next();
+        }
+        self.after
     }
 }
 
@@ -345,25 +357,32 @@ impl RequestSource for SegmentStream<'_> {
     fn next_run(&mut self) -> Option<TraceRun> {
         if self.ahead.is_none() {
             let s = self.peek_segment()?;
+            let e = self.e as u64;
             let rem = s.count - self.pos;
-            if rem >= 3 && s.stride != self.e as u64 {
+            if rem >= 2 && s.stride != e {
                 // No two elements of a non-unit-stride segment coalesce,
-                // so all but the segment's last element are single-
-                // element bursts forming one strided run. The last one
-                // stays behind: it may yet coalesce with whatever
-                // follows the segment.
-                let beats = (rem - 1).min(u32::MAX as u64) as u32;
-                let addr = s.base + self.pos * s.stride;
-                self.pos += beats as u64;
-                return Some(TraceRun {
-                    op: TraceOp {
-                        addr,
-                        bytes: self.e,
-                        dir: self.dir,
-                    },
-                    beats,
-                    stride: s.stride,
-                });
+                // so its elements are single-element bursts forming one
+                // strided run. The last one stays behind when it may yet
+                // coalesce with what follows the segment: the next
+                // segment's first element, one element past it (the
+                // element rule's cap always admits a second element).
+                let last = s.base + (s.count - 1) * s.stride;
+                let joins = self.following().is_some_and(|n| n.base == last + e);
+                let beats = rem - u64::from(joins);
+                if beats >= 2 {
+                    let beats = beats.min(u32::MAX as u64) as u32;
+                    let addr = s.base + self.pos * s.stride;
+                    self.pos += beats as u64;
+                    return Some(TraceRun {
+                        op: TraceOp {
+                            addr,
+                            bytes: self.e,
+                            dir: self.dir,
+                        },
+                        beats,
+                        stride: s.stride,
+                    });
+                }
             }
         }
         let first = self.next()?;
@@ -683,13 +702,17 @@ mod tests {
     fn next_run_folds_strided_columns_and_whole_row_trains() {
         let n = 64;
         let p = params(n);
-        // The baseline sweep really is run-granular: one (n−1)-beat run
-        // plus the held-back last element per column.
+        // The baseline sweep really is run-granular: one n-beat run per
+        // column, its last element included — the next column's first
+        // element is not adjacent, so it cannot coalesce.
         let rm = RowMajor::new(&p);
         let mut s = col_phase_stream(&rm, Direction::Read, 1);
-        let first = s.next_run().unwrap();
-        assert_eq!(first.beats as usize, n - 1);
-        assert_eq!(first.stride, (n * 8) as u64);
+        for col in 0..3u64 {
+            let run = s.next_run().unwrap();
+            assert_eq!(run.beats as usize, n);
+            assert_eq!(run.stride, (n * 8) as u64);
+            assert_eq!(run.op.addr, col * 8);
+        }
         // The tile sweep folds each tile column's whole-tile bursts
         // into one run stepping one tile row down.
         let p = params(256);

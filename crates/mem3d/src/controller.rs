@@ -64,6 +64,10 @@ pub struct RunServed {
     pub probe_done: Option<Picos>,
 }
 
+/// A vault's shared clocks: its most recent activate (start, layer,
+/// bank) and the time its TSV link frees.
+pub(crate) type VaultClocks = (Option<(Picos, usize, usize)>, Picos);
+
 /// A dedicated controller for one vault, as in the paper's Fig. 1: it owns
 /// the vault's banks (across all layers) and the TSV bundle connecting the
 /// vault to the FPGA layer.
@@ -147,6 +151,47 @@ impl VaultController {
         self.last_vault_activate = None;
         self.tsv_free_at = Picos::ZERO;
         self.stats = Stats::default();
+    }
+
+    /// Bank `bank` (index within the vault).
+    pub(crate) fn bank_state(&self, bank: usize) -> BankState {
+        self.banks[bank]
+    }
+
+    /// The vault's shared clocks.
+    pub(crate) fn clocks(&self) -> VaultClocks {
+        (self.last_vault_activate, self.tsv_free_at)
+    }
+
+    /// Moves bank `bank`'s activate and column times `by` later — each
+    /// only where it differs from `before`, the bank one train run
+    /// earlier: a time the run did not write, no later run of the
+    /// train reads (see `MemorySystem::service_paced_span`). Every
+    /// controller time is at most the TSV-free time, whose shifted
+    /// value the caller checked.
+    pub(crate) fn shift_bank(&mut self, bank: usize, before: &BankState, by: Picos) {
+        let b = &mut self.banks[bank];
+        if b.last_activate != before.last_activate {
+            b.last_activate = b.last_activate.map(|t| t + by);
+        }
+        if b.last_column != before.last_column {
+            b.last_column = b.last_column.map(|t| t + by);
+        }
+    }
+
+    /// Moves the vault's shared clocks `by` later where they differ
+    /// from `before` (as [`shift_bank`](Self::shift_bank)) and installs
+    /// `stats` (checked by the caller); `last_beat` follows the TSV-free
+    /// time, the vault's latest completion.
+    pub(crate) fn shift_vault(&mut self, before: &VaultClocks, by: Picos, stats: Stats) {
+        if self.last_vault_activate != before.0 {
+            self.last_vault_activate = self.last_vault_activate.map(|(t, l, b)| (t + by, l, b));
+        }
+        if self.tsv_free_at != before.1 {
+            self.tsv_free_at += by;
+        }
+        self.stats = stats;
+        self.stats.last_beat = self.stats.last_beat.max(self.tsv_free_at);
     }
 
     /// Earliest time an activate to (`layer`, `bank`) may start, given the

@@ -61,15 +61,23 @@
 //!   the bank stretch in closed form;
 //! * **event-driven span classification** — the layer above:
 //!   [`MemorySystem::service_paced_span`] classifies a whole pulled run
-//!   against controller state and either fuses it (same-bank closed
-//!   form, or the per-beat spans the optimized dynamic layouts and the
-//!   small-N row-major column walk emit), asks the driver to step one
-//!   scalar beat at a contention boundary ([`SpanOutcome::Step`]), or
-//!   declares the run shape unfusable so the driver stops probing
-//!   ([`SpanOutcome::Scalar`] — the amortized run-probe gate). Every
-//!   fused loop stops at the pacing law's horizon
-//!   ([`RunPacing::horizon`]), which is what lets a multi-tenant
-//!   scheduler fuse one tenant's beats up to the next competing event.
+//!   against controller state and either fuses it (class 1, the
+//!   same-bank closed form, or class 2, the per-beat spans the
+//!   optimized dynamic layouts and the row-major column walk emit),
+//!   asks the driver to step one scalar beat at a contention boundary
+//!   ([`SpanOutcome::Step`]), or declares the run shape unfusable so
+//!   the driver stops probing ([`SpanOutcome::Scalar`] — the amortized
+//!   run-probe gate). Every fused loop stops at the pacing law's
+//!   horizon ([`RunPacing::horizon`]), which is what lets a multi-tenant
+//!   scheduler fuse one tenant's beats up to the next competing event;
+//! * **cross-run trains** — the driver hands over a [`TraceTrain`]: a
+//!   run plus the runs that repeat it moved along the same memory rows
+//!   (the columns of a row-major column sweep). The memory system
+//!   serves them run by run through the two classes and, once one run
+//!   leaves the touched banks and vaults exactly as the run before
+//!   left them, shifted in time, jumps the rest of the train in closed
+//!   form — the vault-hopping column sweep costs a handful of runs
+//!   instead of one controller round trip per beat.
 //!
 //! [`ServicePath`] selects between the fast path (the default) and the
 //! original scalar implementation; differential property tests assert
@@ -120,5 +128,5 @@ pub use system::{MemorySystem, ServicePath, SpanOutcome};
 pub use timing::{Picos, TimingParams};
 pub use trace::{
     replay_stream, AccessTrace, RequestSource, StridedSource, TraceOp, TraceRun, TraceStats,
-    TraceStream,
+    TraceStream, TraceTrain,
 };

@@ -120,6 +120,26 @@ impl Stats {
         }
     }
 
+    /// `self` with `k` more copies of the counters it gained since
+    /// `before` — what `k` more runs add that repeat the last one
+    /// exactly (the same hits, misses and latencies). The interval
+    /// fields (`latency_max`, `first_beat`, `last_beat`) stay: repeats
+    /// raise no new maximum latency and start no earlier beat, and the
+    /// caller moves `last_beat`. `None` when a counter would overflow.
+    pub(crate) fn plus_repeats(&self, k: u64, before: &Stats) -> Option<Stats> {
+        let add = |now: u64, then: u64| now.checked_sub(then)?.checked_mul(k)?.checked_add(now);
+        Some(Stats {
+            requests: add(self.requests, before.requests)?,
+            bytes_read: add(self.bytes_read, before.bytes_read)?,
+            bytes_written: add(self.bytes_written, before.bytes_written)?,
+            activations: add(self.activations, before.activations)?,
+            row_hits: add(self.row_hits, before.row_hits)?,
+            row_misses: add(self.row_misses, before.row_misses)?,
+            latency_sum: Picos(add(self.latency_sum.as_ps(), before.latency_sum.as_ps())?),
+            ..*self
+        })
+    }
+
     /// Merges another counter set into `self` (used to aggregate vaults).
     pub fn merge(&mut self, other: &Stats) {
         self.requests += other.requests;

@@ -1,9 +1,10 @@
 //! The complete memory device: all vaults behind one façade.
 
+use crate::controller::VaultClocks;
 use crate::{
-    AddressMap, AddressMapKind, BandwidthReport, Direction, Error, Geometry, Location, Picos,
-    Request, RequestOutcome, Result, RunPacing, RunServed, Stats, TimingParams, TraceOp, TraceRun,
-    VaultController,
+    AddressMap, AddressMapKind, BandwidthReport, BankState, Direction, Error, Geometry, Location,
+    Picos, Request, RequestOutcome, Result, RunPacing, RunServed, Stats, TimingParams, TraceOp,
+    TraceRun, TraceTrain, VaultController,
 };
 
 /// Femtoseconds per picosecond (the driver's kernel clock runs in
@@ -54,6 +55,128 @@ pub enum ServicePath {
     Reference,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Runs the span classes served on this thread (one per call of
+    /// the fused per-run loops), so tests can prove the cross-run jump
+    /// engages.
+    static SERVED_RUNS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// The state of a train's touched banks and vaults at one run
+/// boundary.
+#[derive(Clone, Default)]
+struct Boundary {
+    /// The run's latest completion.
+    done: Picos,
+    /// The kernel clock, in fs.
+    t_fs: u128,
+    banks: Vec<BankState>,
+    vaults: Vec<VaultClocks>,
+    /// Each touched vault's statistics (not compared: the difference
+    /// of two boundaries is one run's delta).
+    stats: Vec<Stats>,
+}
+
+impl Boundary {
+    /// `Some(Δ)` when `next`, one run later, is this state shifted by
+    /// Δ = the gap between the two runs' latest completions: the open
+    /// rows are the same, the kernel clock moved by exactly Δ, and every
+    /// other time either moved by exactly Δ (the run wrote it) or did
+    /// not move (the run never wrote it — and with the same open rows,
+    /// no later run will, nor read it; writes always move a time).
+    fn shift_to(&self, next: &Boundary) -> Option<u64> {
+        let delta = next
+            .done
+            .as_ps()
+            .checked_sub(self.done.as_ps())
+            .filter(|&d| d > 0)?;
+        let moved = |a: Picos, b: Picos| a == b || a.as_ps().checked_add(delta) == Some(b.as_ps());
+        let moved_opt = |a: Option<Picos>, b: Option<Picos>| match (a, b) {
+            (Some(a), Some(b)) => moved(a, b),
+            (a, b) => a == b,
+        };
+        let banks = self.banks.iter().zip(&next.banks).all(|(a, b)| {
+            a.open_row == b.open_row
+                && moved_opt(a.last_activate, b.last_activate)
+                && moved_opt(a.last_column, b.last_column)
+        });
+        let vaults = self.vaults.iter().zip(&next.vaults).all(|(a, b)| {
+            let gate = match (a.0, b.0) {
+                (Some((ta, la, ba)), Some((tb, lb, bb))) => (la, ba) == (lb, bb) && moved(ta, tb),
+                (a, b) => a == b,
+            };
+            gate && moved(a.1, b.1)
+        });
+        let kernel = self.t_fs.checked_add(u128::from(delta) * FS_PER_PS) == Some(next.t_fs);
+        (kernel && banks && vaults).then_some(delta)
+    }
+}
+
+/// Scratch for the cross-run steady-state jump, sized at construction
+/// so a train never allocates: the banks and vaults a train's runs
+/// touch and the state at the last two run boundaries. It holds no
+/// simulated state, so `Debug` leaves it out of the device's
+/// observables.
+#[derive(Clone)]
+struct TrainScratch {
+    /// Touched banks as (vault, bank within the vault), first touch
+    /// first.
+    banks: Vec<(usize, usize)>,
+    /// Touched vaults, first touch first.
+    vaults: Vec<usize>,
+    /// Membership flags by flat bank index and by vault; all clear
+    /// between trains.
+    bank_seen: Vec<bool>,
+    vault_seen: Vec<bool>,
+    prev: Boundary,
+    cur: Boundary,
+    /// The touched vaults' statistics after a jump, checked before any
+    /// of them is installed.
+    jumped: Vec<Stats>,
+}
+
+impl TrainScratch {
+    fn new(geom: &Geometry) -> Self {
+        let banks = geom.vaults * geom.banks_per_vault();
+        let boundary = || Boundary {
+            banks: Vec::with_capacity(banks),
+            vaults: Vec::with_capacity(geom.vaults),
+            stats: Vec::with_capacity(geom.vaults),
+            ..Boundary::default()
+        };
+        TrainScratch {
+            banks: Vec::with_capacity(banks),
+            vaults: Vec::with_capacity(geom.vaults),
+            // simlint::allow(H001): system construction — sized once per device, never per request
+            bank_seen: vec![false; banks],
+            // simlint::allow(H001): system construction — sized once per device, never per request
+            vault_seen: vec![false; geom.vaults],
+            prev: boundary(),
+            cur: boundary(),
+            jumped: Vec::with_capacity(geom.vaults),
+        }
+    }
+}
+
+impl std::fmt::Debug for TrainScratch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TrainScratch").finish_non_exhaustive()
+    }
+}
+
+/// Whether a run served with the kernel clock going from `start_fs` to
+/// `end_fs` under `pacing` is shift-covariant: every beat's arrival was
+/// the raw reading `(t_kernel_fs − window_fs) / 1000` — the window
+/// subtraction did not saturate, the reading was not floored, and it
+/// fit a [`Picos`]. The clock only grows, so checking both ends covers
+/// every beat.
+fn covariant(pacing: &RunPacing, start_fs: u128, end_fs: u128) -> bool {
+    let raw = |t: u128| t.checked_sub(pacing.window_fs).map(|r| r / FS_PER_PS);
+    raw(start_fs).is_some_and(|r| r >= u128::from(pacing.floor.as_ps()))
+        && raw(end_fs).is_some_and(|r| u64::try_from(r).is_ok())
+}
+
 /// The complete 3D memory device: one [`VaultController`] per vault, all
 /// sharing a [`Geometry`] and [`TimingParams`].
 ///
@@ -73,6 +196,7 @@ pub struct MemorySystem {
     /// Cached `geom.capacity_bytes()` for per-burst bounds checks.
     capacity: u64,
     path: ServicePath,
+    train: TrainScratch,
 }
 
 impl MemorySystem {
@@ -107,6 +231,7 @@ impl MemorySystem {
             maps: AddressMapKind::ALL.map(|k| AddressMap::new(k, geom)),
             capacity: geom.capacity_bytes(),
             path: ServicePath::Fast,
+            train: TrainScratch::new(&geom),
         })
     }
 
@@ -458,13 +583,14 @@ impl MemorySystem {
         ))
     }
 
-    /// Classifies a pulled run against register-resident controller
-    /// state and advances the clock across the longest conflict-free
-    /// span it can prove — the entry point of the **event-driven
-    /// skip-ahead core** the phase driver (`fft2d::run_phase`) uses on
-    /// the [`Fast`](ServicePath::Fast) path.
+    /// Classifies a pulled train of runs against register-resident
+    /// controller state and advances the clock across the longest
+    /// conflict-free span it can prove — the entry point of the
+    /// **event-driven skip-ahead core** the phase driver
+    /// (`fft2d::run_phase`) uses on the [`Fast`](ServicePath::Fast)
+    /// path. A single run is a train of one (`train.run.into()`).
     ///
-    /// Span classes, in the order they are tried:
+    /// Span classes, in the order they are tried on each run:
     ///
     /// 1. **Same-bank ascending-row spans** — refresh off and
     ///    [`AddressMap::stride_run_location`] proves every beat is a row
@@ -478,13 +604,37 @@ impl MemorySystem {
     /// 2. **Per-beat spans** — whole-row strides whose beats hop
     ///    banks/layers/vaults each beat (the optimized DDL layouts'
     ///    grouped column phase emits these as runs of full 8 KiB row
-    ///    bursts), and sub-row strides that divide the row size (the
-    ///    row-major column walk at N ≤ 512, several matrix rows per
-    ///    memory row): the whole run is fused at system level with one
-    ///    decode + controller dispatch per beat, skipping the per-beat
-    ///    driver round trip. Refresh windows, row hits and TSV
+    ///    bursts, and the row-major column walk on the vault-interleaved
+    ///    map as single elements), and sub-row strides that divide the
+    ///    row size (the row-major column walk at N ≤ 512, several matrix
+    ///    rows per memory row): the whole run is fused at system level
+    ///    with one decode + controller dispatch per beat, skipping the
+    ///    per-beat driver round trip. Refresh windows, row hits and TSV
     ///    saturation crossings are *inside* the per-beat schedule, so
     ///    this class stays exact with refresh enabled.
+    ///
+    /// **Trains.** Once the first run is served whole, the train's
+    /// later runs follow it through the same classes, run by run, as
+    /// long as every beat stays inside the memory row of the matching
+    /// beat of the first run (the rest of the train goes back to the
+    /// driver). Decode depends only on `addr / row_bytes`, so every run
+    /// of such a train visits the same vaults, banks and rows in the
+    /// same order on every map, and the device advances by one fixed
+    /// function of the state per run. With refresh off, each run
+    /// boundary records the touched banks and vaults — open rows, bank
+    /// activate and column times, the vault activate gate, the TSV-free
+    /// time and the kernel clock, measured back from the run's latest
+    /// completion. When two consecutive boundaries are the same state
+    /// and every arrival of the later run was the raw kernel-clock
+    /// reading (the class-1 covariance conditions), every later run
+    /// repeats that run shifted by Δ, the gap between the two
+    /// completions, and the train jumps *k* runs in closed form: *k*·Δ
+    /// on the touched clocks and the kernel clock, *k* times the run's
+    /// per-vault statistics delta. *k* stops before the run holding
+    /// [`RunPacing::probe_beat`], before the first run whose latest
+    /// completion would pass [`RunPacing::horizon`], and wherever the
+    /// arithmetic would overflow. Untouched banks and vaults are never
+    /// read by the train, so they need no shift.
     ///
     /// Everything else falls back: [`SpanOutcome::Step`] when only the
     /// current position blocks fusion (one scalar beat, then retry),
@@ -493,7 +643,9 @@ impl MemorySystem {
     ///
     /// Both classes honour [`RunPacing::horizon`]: they stop before the
     /// first beat whose grant reaches it, so a `Served` span may cover
-    /// fewer beats than either class could prove — zero included.
+    /// fewer beats than either class could prove — zero included. A
+    /// `Served` span's beats count from the train's first beat, and so
+    /// does [`RunPacing::probe_beat`].
     ///
     /// Every fused span is bit-identical — in outcomes, statistics and
     /// controller state — to the driver's scalar per-beat loop under
@@ -501,6 +653,243 @@ impl MemorySystem {
     /// (`tests/hotpath_equivalence.rs`) proves it across every
     /// skip→step transition.
     pub fn service_paced_span(
+        &mut self,
+        map_kind: AddressMapKind,
+        train: TraceTrain,
+        pacing: &RunPacing,
+    ) -> SpanOutcome {
+        let first = self.span_run(map_kind, train.run, pacing);
+        match first {
+            SpanOutcome::Served(head) if head.beats == train.run.beats => {
+                let repeats = self.in_row_repeats(&train);
+                if repeats == 0 {
+                    return first;
+                }
+                // The whole train's beat count must fit the served count.
+                let repeats = repeats.min(u32::MAX / head.beats - 1);
+                SpanOutcome::Served(self.serve_train(map_kind, train, repeats, pacing, head))
+            }
+            _ => first,
+        }
+    }
+
+    /// Serves runs 1 to `repeats` of `train` after its first (already
+    /// served as `head`) through [`span_run`](Self::span_run), jumping
+    /// over the train's steady state (see
+    /// [`service_paced_span`](Self::service_paced_span)). Stops at the
+    /// first run not served whole.
+    fn serve_train(
+        &mut self,
+        map_kind: AddressMapKind,
+        train: TraceTrain,
+        repeats: u32,
+        pacing: &RunPacing,
+        head: RunServed,
+    ) -> RunServed {
+        let beats = train.run.beats;
+        let jump =
+            repeats >= 2 && !self.timing.refresh_enabled() && self.touch(map_kind, train.run);
+        let mut acc = head;
+        if jump {
+            self.mark_boundary(acc.last_done, acc.t_kernel_fs);
+            std::mem::swap(&mut self.train.prev, &mut self.train.cur);
+        }
+        let mut m = 1;
+        while m <= repeats {
+            let Some(run) = train.run.moved(u64::from(m) * train.step) else {
+                break;
+            };
+            let start_fs = acc.t_kernel_fs;
+            let p = RunPacing {
+                t_kernel_fs: start_fs,
+                probe_beat: pacing
+                    .probe_beat
+                    .and_then(|b| b.checked_sub(u64::from(acc.beats))),
+                ..*pacing
+            };
+            let SpanOutcome::Served(s) = self.span_run(map_kind, run, &p) else {
+                break;
+            };
+            acc.beats += s.beats;
+            acc.t_kernel_fs = s.t_kernel_fs;
+            acc.last_done = acc.last_done.max(s.last_done);
+            acc.probe_done = acc.probe_done.or(s.probe_done);
+            m += 1;
+            if s.beats < beats {
+                break;
+            }
+            if !jump {
+                continue;
+            }
+            self.mark_boundary(s.last_done, acc.t_kernel_fs);
+            // The run just served repeated the one before, shifted, and
+            // so will every later run: jump as many as the train, the
+            // probe and the horizon allow.
+            let shift = self.train.prev.shift_to(&self.train.cur);
+            if let Some(delta) = shift.filter(|_| covariant(pacing, start_fs, acc.t_kernel_fs)) {
+                let mut k = repeats + 1 - m;
+                if let Some(ahead) = pacing
+                    .probe_beat
+                    .and_then(|b| b.checked_sub(u64::from(acc.beats)))
+                {
+                    k = k.min(u32::try_from(ahead / u64::from(beats)).unwrap_or(u32::MAX));
+                }
+                if let Some(j) = self.jump_runs(k, delta, beats, pacing, &mut acc) {
+                    m += j;
+                }
+            }
+            std::mem::swap(&mut self.train.prev, &mut self.train.cur);
+        }
+        acc
+    }
+
+    /// How many runs after the first of `train` keep every beat inside
+    /// the memory row of the matching beat of the first run (at most
+    /// `train.repeats`): each beat must stay in its row when the stride
+    /// is whole rows, or in its stride slot when the stride divides the
+    /// row.
+    fn in_row_repeats(&self, train: &TraceTrain) -> u32 {
+        let row_bytes = self.geom.row_bytes as u64;
+        // No room for even one move (whole-row bursts, for one): skip
+        // the divisions below.
+        if train.repeats == 0 || train.run.op.bytes as u64 + train.step > row_bytes {
+            return 0;
+        }
+        let stride = train.run.stride;
+        let slot = if stride > 0 && stride.is_multiple_of(row_bytes) {
+            row_bytes
+        } else if stride > 0 && row_bytes.is_multiple_of(stride) {
+            stride
+        } else {
+            return 0;
+        };
+        let room = (slot - train.run.op.addr % slot).checked_sub(train.run.op.bytes as u64);
+        match room.and_then(|r| r.checked_div(train.step)) {
+            Some(fit) => u32::try_from(fit).map_or(train.repeats, |f| f.min(train.repeats)),
+            None => 0,
+        }
+    }
+
+    /// Collects the banks and vaults `run`'s beats touch into the train
+    /// scratch. `false` if a beat fails to decode.
+    fn touch(&mut self, map_kind: AddressMapKind, run: TraceRun) -> bool {
+        let map = self.maps[map_kind.index()];
+        let bpv = self.geom.banks_per_vault();
+        let s = &mut self.train;
+        s.banks.clear();
+        s.vaults.clear();
+        let mut addr = run.op.addr;
+        let mut ok = true;
+        for _ in 0..run.beats {
+            let Ok(loc) = map.decode(addr) else {
+                ok = false;
+                break;
+            };
+            let bank = loc.bank_in_vault(&self.geom);
+            let flat = loc.vault * bpv + bank;
+            if !s.bank_seen[flat] {
+                s.bank_seen[flat] = true;
+                s.banks.push((loc.vault, bank));
+            }
+            if !s.vault_seen[loc.vault] {
+                s.vault_seen[loc.vault] = true;
+                s.vaults.push(loc.vault);
+            }
+            addr = addr.wrapping_add(run.stride);
+        }
+        for &(v, b) in &s.banks {
+            s.bank_seen[v * bpv + b] = false;
+        }
+        for &v in &s.vaults {
+            s.vault_seen[v] = false;
+        }
+        ok
+    }
+
+    /// Records the touched banks and vaults into the train scratch's
+    /// current boundary: the run's latest completion `done` and the
+    /// kernel clock `t_fs`.
+    fn mark_boundary(&mut self, done: Picos, t_fs: u128) {
+        let Self {
+            controllers, train, ..
+        } = self;
+        let b = &mut train.cur;
+        b.done = done;
+        b.t_fs = t_fs;
+        b.banks.clear();
+        for &(v, bank) in &train.banks {
+            b.banks.push(controllers[v].bank_state(bank));
+        }
+        b.vaults.clear();
+        b.stats.clear();
+        for &v in &train.vaults {
+            b.vaults.push(controllers[v].clocks());
+            b.stats.push(*controllers[v].stats());
+        }
+    }
+
+    /// Jumps at most `k` more runs of a train whose last run repeated
+    /// the one before shifted by `delta` (the train scratch's `prev` and
+    /// `cur` boundaries), folding them into `acc` and re-marking the
+    /// current boundary. Each run is `beats` beats long. Returns how
+    /// many runs it jumped, or `None` if no jump was taken (zero runs
+    /// fit, or the arithmetic would overflow).
+    fn jump_runs(
+        &mut self,
+        k: u32,
+        delta: u64,
+        beats: u32,
+        pacing: &RunPacing,
+        acc: &mut RunServed,
+    ) -> Option<u32> {
+        let done = self.train.cur.done;
+        // The jumped runs' grants stay before the horizon: each beat is
+        // granted before it completes, so the last jumped run's latest
+        // completion at or before the horizon suffices.
+        let fit = pacing.horizon.as_ps().checked_sub(done.as_ps())? / delta;
+        let k = k.min(u32::try_from(fit).unwrap_or(u32::MAX));
+        if k == 0 {
+            return None;
+        }
+        let by = delta.checked_mul(u64::from(k))?;
+        // Every time of a touched vault is at most its TSV-free time,
+        // which is at most `done`: this bounds every shifted time.
+        let done_k = Picos(done.as_ps().checked_add(by)?);
+        let t_fs_k = acc.t_kernel_fs.checked_add(u128::from(by) * FS_PER_PS)?;
+        // Every jumped arrival stays a raw reading that fits a Picos.
+        u64::try_from(t_fs_k.checked_sub(pacing.window_fs)? / FS_PER_PS).ok()?;
+        let Self {
+            controllers, train, ..
+        } = self;
+        train.jumped.clear();
+        for (&v, before) in train.vaults.iter().zip(&train.prev.stats) {
+            train
+                .jumped
+                .push(controllers[v].stats().plus_repeats(u64::from(k), before)?);
+        }
+        let by = Picos(by);
+        for (&(v, bank), before) in train.banks.iter().zip(&train.prev.banks) {
+            controllers[v].shift_bank(bank, before, by);
+        }
+        for ((&v, before), &stats) in train
+            .vaults
+            .iter()
+            .zip(&train.prev.vaults)
+            .zip(&train.jumped)
+        {
+            controllers[v].shift_vault(before, by, stats);
+        }
+        // `serve_train` capped the train's beats at `u32::MAX`.
+        acc.beats += k * beats;
+        acc.t_kernel_fs = t_fs_k;
+        acc.last_done = done_k;
+        self.mark_boundary(done_k, t_fs_k);
+        Some(k)
+    }
+
+    /// One run through the span classes (see
+    /// [`service_paced_span`](Self::service_paced_span)).
+    fn span_run(
         &mut self,
         map_kind: AddressMapKind,
         run: TraceRun,
@@ -522,6 +911,8 @@ impl MemorySystem {
                 self.maps[map_kind.index()].stride_run_location(run.op.addr, run.stride, run.beats)
             {
                 if fit >= 2 {
+                    #[cfg(test)]
+                    SERVED_RUNS.with(|n| n.set(n.get() + 1));
                     return SpanOutcome::Served(self.controllers[loc.vault].service_paced_run(
                         loc,
                         run.op.bytes,
@@ -550,6 +941,8 @@ impl MemorySystem {
         let span = (run.beats as u64 - 1).checked_mul(stride);
         let end = span.and_then(|s| run.op.addr.checked_add(s + run.op.bytes as u64 - 1));
         if in_row && end.is_some_and(|e| e < self.capacity) {
+            #[cfg(test)]
+            SERVED_RUNS.with(|n| n.set(n.get() + 1));
             return SpanOutcome::Served(self.service_paced_xrun(map_kind, run, pacing));
         }
         SpanOutcome::Scalar
@@ -668,14 +1061,15 @@ mod tests {
         }
     }
 
-    /// The driver's scalar loop under `pacing`: one `service_burst` per
-    /// beat, stopping before the first beat whose grant
-    /// (`max(arrival, tsv_free_at)` on its vault) reaches the horizon.
-    /// Also returns each served beat's grant.
+    /// The driver's scalar loop under `pacing` over every beat of
+    /// `train`, run after run: one `service_burst` per beat, stopping
+    /// before the first beat whose grant (`max(arrival, tsv_free_at)` on
+    /// its vault) reaches the horizon. Also returns each served beat's
+    /// grant.
     fn scalar_span(
         m: &mut MemorySystem,
         kind: AddressMapKind,
-        run: TraceRun,
+        train: TraceTrain,
         pacing: &RunPacing,
     ) -> (RunServed, Vec<Picos>) {
         let mut grants = Vec::new();
@@ -685,8 +1079,12 @@ mod tests {
             last_done: Picos::ZERO,
             probe_done: None,
         };
-        let mut op = run.op;
-        for i in 0..run.beats as u64 {
+        let run = train.run;
+        let beats = (0..=u64::from(train.repeats)).flat_map(|r| {
+            (0..u64::from(run.beats)).map(move |i| run.op.addr + r * train.step + i * run.stride)
+        });
+        for (i, addr) in beats.enumerate() {
+            let op = TraceOp { addr, ..run.op };
             let t_fs = served.t_kernel_fs;
             let at = Picos::from_fs_clock(t_fs.saturating_sub(pacing.window_fs)).max(pacing.floor);
             let vault = m.vault_of(kind, op.addr).unwrap();
@@ -699,30 +1097,58 @@ mod tests {
             served.beats += 1;
             served.t_kernel_fs = t_fs.max(out.done.as_ps() as u128 * FS_PER_PS) + pacing.op_fs;
             served.last_done = served.last_done.max(out.done);
-            if pacing.probe_beat == Some(i) {
+            if pacing.probe_beat == Some(i as u64) {
                 served.probe_done = Some(out.done);
             }
-            op.addr += run.stride;
         }
         (served, grants)
     }
 
-    /// A whole run under `pacing` the way the phase driver serves it:
-    /// fused spans where the classifier allows, one scalar beat
-    /// otherwise.
-    fn drive(
+    /// The rest of `train` after its first `pos` beats, as the phase
+    /// driver hands it over: the remaining train from a run boundary, the
+    /// rest of one run otherwise.
+    fn train_at(train: TraceTrain, pos: u64) -> TraceTrain {
+        let beats = u64::from(train.run.beats);
+        let (r, i) = (pos / beats, pos % beats);
+        let run = train
+            .run
+            .moved(r * train.step + i * train.run.stride)
+            .unwrap();
+        if i == 0 {
+            TraceTrain {
+                run,
+                repeats: train.repeats - r as u32,
+                ..train
+            }
+        } else {
+            TraceRun {
+                beats: train.run.beats - i as u32,
+                ..run
+            }
+            .into()
+        }
+    }
+
+    /// The whole of `train` after its first `pos` beats, under `pacing`
+    /// (whose clock and probe are at `pos`), the way the phase driver
+    /// serves it: fused spans where the classifier allows, one scalar
+    /// beat otherwise.
+    fn drive_from(
         m: &mut MemorySystem,
         kind: AddressMapKind,
-        mut run: TraceRun,
+        train: TraceTrain,
         pacing: &RunPacing,
+        pos: u64,
     ) -> RunServed {
+        let total = u64::from(train.run.beats) * (u64::from(train.repeats) + 1);
         let mut acc = RunServed {
             beats: 0,
             t_kernel_fs: pacing.t_kernel_fs,
             last_done: Picos::ZERO,
             probe_done: None,
         };
-        while run.beats > 0 {
+        while pos + u64::from(acc.beats) < total {
+            let rest = train_at(train, pos + u64::from(acc.beats));
             let p = RunPacing {
                 t_kernel_fs: acc.t_kernel_fs,
                 probe_beat: pacing
@@ -730,19 +1156,39 @@ mod tests {
                     .and_then(|b| b.checked_sub(acc.beats as u64)),
                 ..*pacing
             };
-            let got = match m.service_paced_span(kind, run, &p) {
+            let got = match m.service_paced_span(kind, rest, &p) {
                 SpanOutcome::Served(s) if s.beats > 0 => s,
-                _ => scalar_span(m, kind, TraceRun { beats: 1, ..run }, &p).0,
+                _ => {
+                    scalar_span(
+                        m,
+                        kind,
+                        TraceRun {
+                            beats: 1,
+                            ..rest.run
+                        }
+                        .into(),
+                        &p,
+                    )
+                    .0
+                }
             };
             assert!(got.beats > 0, "an unbounded horizon always serves");
             acc.beats += got.beats;
             acc.t_kernel_fs = got.t_kernel_fs;
             acc.last_done = acc.last_done.max(got.last_done);
             acc.probe_done = acc.probe_done.or(got.probe_done);
-            run.op.addr += got.beats as u64 * run.stride;
-            run.beats -= got.beats;
         }
         acc
+    }
+
+    /// [`drive_from`] from the first beat.
+    fn drive(
+        m: &mut MemorySystem,
+        kind: AddressMapKind,
+        train: TraceTrain,
+        pacing: &RunPacing,
+    ) -> RunServed {
+        drive_from(m, kind, train, pacing, 0)
     }
 
     #[test]
@@ -774,7 +1220,7 @@ mod tests {
             read_run(row / 4 - 4, 8, 8, row / 4),
         ] {
             assert_eq!(
-                m.service_paced_span(kind, run, &pacing),
+                m.service_paced_span(kind, run.into(), &pacing),
                 SpanOutcome::Scalar,
                 "{run:?}"
             );
@@ -783,7 +1229,7 @@ mod tests {
         let mut r = sys();
         r.set_service_path(ServicePath::Reference);
         assert_eq!(
-            r.service_paced_span(kind, read_run(0, 8, 8, row), &pacing),
+            r.service_paced_span(kind, read_run(0, 8, 8, row).into(), &pacing),
             SpanOutcome::Scalar
         );
         // Same shape on the fast path: a same-bank ascending-row span.
@@ -791,7 +1237,7 @@ mod tests {
         // row, the small-N row-major column walk) fuses per beat.
         for stride in [row, row / 4] {
             assert!(matches!(
-                m.service_paced_span(kind, read_run(0, 8, 8, stride), &pacing),
+                m.service_paced_span(kind, read_run(0, 8, 8, stride).into(), &pacing),
                 SpanOutcome::Served(_)
             ));
         }
@@ -799,7 +1245,7 @@ mod tests {
         // step it scalar, then the next bank's stretch fuses.
         let last_row = (geom.rows_per_bank as u64 - 1) * row;
         assert_eq!(
-            m.service_paced_span(kind, read_run(last_row, 8, 8, row), &pacing),
+            m.service_paced_span(kind, read_run(last_row, 8, 8, row).into(), &pacing),
             SpanOutcome::Step
         );
         // A run leaving the device also steps: the one in-range beat is
@@ -808,7 +1254,7 @@ mod tests {
         assert_eq!(
             m.service_paced_span(
                 kind,
-                read_run(geom.capacity_bytes() - row, 8, 8, row),
+                read_run(geom.capacity_bytes() - row, 8, 8, row).into(),
                 &pacing
             ),
             SpanOutcome::Step
@@ -838,12 +1284,15 @@ mod tests {
                 probe_beat: Some(7),
                 horizon: Picos::MAX,
             };
-            let outcome = fused.service_paced_span(kind, run, &pacing);
+            let outcome = fused.service_paced_span(kind, run.into(), &pacing);
             let SpanOutcome::Served(served) = outcome else {
                 panic!("expected a fused cross-bank span, got {outcome:?}");
             };
             // The driver's scalar loop, replayed on a twin device.
-            assert_eq!(served, scalar_span(&mut scalar, kind, run, &pacing).0);
+            assert_eq!(
+                served,
+                scalar_span(&mut scalar, kind, run.into(), &pacing).0
+            );
             assert_eq!(served.beats, run.beats);
             assert_eq!(fused.stats(), scalar.stats());
         }
@@ -906,11 +1355,11 @@ mod tests {
                 base.service_burst(kind, op, Picos(rng.gen_range(0u64..1 << 24))).unwrap();
             }
             let (mut cut, mut scalar, mut whole) = (base.clone(), base.clone(), base.clone());
-            let uncut = drive(&mut whole, kind, run, &pacing);
+            let uncut = drive(&mut whole, kind, run.into(), &pacing);
             prop_assert_eq!(uncut.beats, run.beats);
             // Cut exactly at, just past or just before some beat's
             // grant on the uncut schedule, or anywhere in the span.
-            let grants = scalar_span(&mut base, kind, run, &pacing).1;
+            let grants = scalar_span(&mut base, kind, run.into(), &pacing).1;
             let g = grants[rng.gen_range(0..grants.len())];
             let horizon = match rng.gen_range(0usize..4) {
                 0 => g,
@@ -922,12 +1371,12 @@ mod tests {
 
             // The cut span equals scalar beats up to the first beat
             // whose grant reaches the horizon.
-            let outcome = cut.service_paced_span(kind, run, &cut_pacing);
+            let outcome = cut.service_paced_span(kind, run.into(), &cut_pacing);
             let SpanOutcome::Served(head) = outcome else {
                 prop_assert!(false, "{run:?} must fuse, got {outcome:?}");
                 unreachable!()
             };
-            prop_assert_eq!(head, scalar_span(&mut scalar, kind, run, &cut_pacing).0);
+            prop_assert_eq!(head, scalar_span(&mut scalar, kind, run.into(), &cut_pacing).0);
             prop_assert_eq!(
                 format!("{cut:?}"),
                 format!("{scalar:?}"),
@@ -953,7 +1402,7 @@ mod tests {
                     probe_beat: pacing.probe_beat.and_then(|b| b.checked_sub(head.beats as u64)),
                     ..pacing
                 };
-                drive(&mut cut, kind, rest, &rest_pacing)
+                drive(&mut cut, kind, rest.into(), &rest_pacing)
             };
             prop_assert_eq!(tail.t_kernel_fs, uncut.t_kernel_fs);
             prop_assert_eq!(head.last_done.max(tail.last_done), uncut.last_done);
@@ -963,6 +1412,246 @@ mod tests {
                 format!("{whole:?}"),
                 "device state after resuming"
             );
+        });
+    }
+
+    /// A train of `repeats + 1` single-element column runs: `beats`
+    /// beats `stride` apart, each run `step` bytes past the last.
+    fn column_train(beats: u32, stride: u64, repeats: u32, step: u64) -> TraceTrain {
+        TraceTrain {
+            run: read_run(0, 8, beats, stride),
+            repeats,
+            step,
+        }
+    }
+
+    /// A memory-bound pacing law with no prefetch window, so arrivals
+    /// are covariant from the first beat.
+    fn unwindowed() -> RunPacing {
+        RunPacing {
+            t_kernel_fs: 0,
+            window_fs: 0,
+            op_fs: 250_000,
+            floor: Picos::ZERO,
+            probe_beat: None,
+            horizon: Picos::MAX,
+        }
+    }
+
+    /// Serves `train` under `pacing` (unbounded horizon) through the
+    /// classifier on one clone of `base` and beat by beat on another:
+    /// the served result, the statistics and the whole device state
+    /// must agree. Returns the result and how many runs the fused
+    /// per-run loops served.
+    fn assert_train_matches_scalar(
+        base: &MemorySystem,
+        kind: AddressMapKind,
+        train: TraceTrain,
+        pacing: &RunPacing,
+    ) -> (RunServed, u64) {
+        let (mut fused, mut scalar) = (base.clone(), base.clone());
+        let runs = || SERVED_RUNS.with(|n| n.get());
+        let before = runs();
+        let got = drive(&mut fused, kind, train, pacing);
+        let looped = runs() - before;
+        let (expect, _) = scalar_span(&mut scalar, kind, train, pacing);
+        assert_eq!(got, expect, "served train diverged");
+        assert_eq!(fused.stats(), scalar.stats(), "statistics diverged");
+        assert_eq!(
+            format!("{fused:?}"),
+            format!("{scalar:?}"),
+            "device state diverged"
+        );
+        (got, looped)
+    }
+
+    #[test]
+    fn steady_all_vault_train_jumps_instead_of_serving_every_run() {
+        // The row-major column sweep at N = 1024 on the vault-interleaved
+        // map: every 1024-beat column hops all 16 vaults and two rows of
+        // each of their 32 banks, and column j + 1 is column j moved one
+        // element. A steady 1024-run train must be served through a
+        // handful of runs, not one per column.
+        let m = sys();
+        let row = Geometry::default().row_bytes as u64;
+        let train = column_train(1024, row, 1023, 8);
+        let pacing = RunPacing {
+            probe_beat: Some(700 * 1024 + 5),
+            ..unwindowed()
+        };
+        let (served, looped) =
+            assert_train_matches_scalar(&m, AddressMapKind::VaultInterleaved, train, &pacing);
+        assert_eq!(served.beats, 1024 * 1024);
+        assert!(served.probe_done.is_some());
+        assert!(
+            looped < 8,
+            "{looped} runs served for a steady 1024-run train: the jump did not engage"
+        );
+    }
+
+    #[test]
+    fn single_bank_trains_jump_and_match_scalar() {
+        // Every beat of these trains lands in one bank: the row-major
+        // column at N = 256 on the chunked map (a 2 KiB stride, four
+        // matrix rows per memory row: the per-beat class) and the
+        // baseline column at N = 1024 (one row per beat: the same-bank
+        // closed form, which jumps inside each run as well).
+        let row = Geometry::default().row_bytes as u64;
+        for train in [
+            column_train(256, row / 4, 255, 8),
+            column_train(1024, row, 300, 8),
+        ] {
+            let (served, looped) =
+                assert_train_matches_scalar(&sys(), AddressMapKind::Chunked, train, &unwindowed());
+            assert_eq!(served.beats, train.run.beats * (train.repeats + 1));
+            assert!(looped < 8, "{looped} runs served for {train:?}");
+        }
+    }
+
+    #[test]
+    fn a_step_out_of_the_rows_forms_no_train() {
+        // The second run would cross into the next memory row (at a
+        // different vault and bank), so only the first run is served.
+        let mut m = sys();
+        let row = Geometry::default().row_bytes as u64;
+        let train = TraceTrain {
+            run: read_run(row - 16, 8, 64, row),
+            repeats: 40,
+            step: 16,
+        };
+        let kind = AddressMapKind::VaultInterleaved;
+        let SpanOutcome::Served(head) = m.service_paced_span(kind, train, &unwindowed()) else {
+            panic!("the first run fuses");
+        };
+        assert_eq!(head.beats, 64);
+        let mut scalar = sys();
+        assert_eq!(
+            head,
+            scalar_span(&mut scalar, kind, train.run.into(), &unwindowed()).0
+        );
+        assert_eq!(format!("{m:?}"), format!("{scalar:?}"));
+        // The whole train, driven to the end, still equals its beats.
+        let (served, _) = assert_train_matches_scalar(&sys(), kind, train, &unwindowed());
+        assert_eq!(served.beats, 64 * 41);
+    }
+
+    #[test]
+    fn train_over_stale_untouched_banks_matches_scalar() {
+        // A 64-beat column touches banks 0..4 of layer 0 in every vault.
+        // Earlier traffic leaves rows open and activates pending in the
+        // other banks of the same vaults — the vault activate gate of
+        // each points at a bank the train never touches when it starts.
+        // The train must still jump, and leave those banks as it found
+        // them.
+        let kind = AddressMapKind::VaultInterleaved;
+        let row = Geometry::default().row_bytes as u64;
+        let mut base = sys();
+        for r in 64..96u64 {
+            let op = TraceOp {
+                addr: r * row + 64,
+                bytes: 64,
+                dir: Direction::Write,
+            };
+            base.service_burst(kind, op, Picos(r * 100)).unwrap();
+        }
+        let touched = |m: &MemorySystem| {
+            let c = m.controller(3);
+            (0..Geometry::default().banks_per_layer)
+                .map(|b| *c.bank(1, b))
+                .collect::<Vec<_>>()
+        };
+        let stale = touched(&base);
+        let train = column_train(64, row, 511, 8);
+        let (served, looped) = assert_train_matches_scalar(&base, kind, train, &unwindowed());
+        assert_eq!(served.beats, 64 * 512);
+        assert!(looped < 8, "{looped} runs served");
+        let mut after = base.clone();
+        drive(&mut after, kind, train, &unwindowed());
+        assert_eq!(touched(&after), stale, "untouched banks moved");
+    }
+
+    #[test]
+    fn trains_match_scalar_beats_at_any_horizon() {
+        use sim_util::{prop_assert, prop_assert_eq, prop_check};
+        prop_check!(cases: 64, |rng| {
+            let geom = Geometry::default();
+            let row = geom.row_bytes as u64;
+            // All-vault, single-bank per-beat and same-bank closed-form
+            // trains, from column 0 or a later one.
+            let (kind, beats, stride) = match rng.gen_range(0usize..3) {
+                0 => (AddressMapKind::VaultInterleaved, rng.gen_range(16u32..300), row),
+                1 => (AddressMapKind::Chunked, rng.gen_range(2u32..200), row >> rng.gen_range(1u32..4)),
+                _ => (AddressMapKind::Chunked, rng.gen_range(2u32..400), row),
+            };
+            let step = 8 * rng.gen_range(1u64..4);
+            let first = rng.gen_range(0u64..8) * 8;
+            // Every run stays in the first run's rows (its beats in their
+            // stride slots), so one call serves the train up to the
+            // horizon.
+            let in_row = (stride.min(row) - first - 8) / step;
+            let train = TraceTrain {
+                run: read_run(first, 8, beats, stride),
+                repeats: rng.gen_range(1u32..200).min(in_row as u32),
+                step,
+            };
+            let total = u64::from(beats) * (u64::from(train.repeats) + 1);
+            let pacing = RunPacing {
+                t_kernel_fs: rng.gen_range(0u64..1 << 30) as u128,
+                window_fs: if rng.gen_bool() { 0 } else { rng.gen_range(0u64..1 << 32) as u128 },
+                op_fs: rng.gen_range(0u64..1 << 24) as u128,
+                floor: Picos(rng.gen_range(0u64..1 << 16)),
+                probe_beat: rng.gen_bool().then(|| rng.gen_range(0..total)),
+                horizon: Picos::MAX,
+            };
+            // Random prior traffic, identical on every twin.
+            let mut base = MemorySystem::new(geom, TimingParams::default());
+            for _ in 0..rng.gen_range(0usize..6) {
+                let op = TraceOp {
+                    addr: rng.gen_range(0u64..512) * row + rng.gen_range(0u64..16) * 8,
+                    bytes: 64,
+                    dir: Direction::Write,
+                };
+                base.service_burst(kind, op, Picos(rng.gen_range(0u64..1 << 24))).unwrap();
+            }
+            let (uncut, _) = assert_train_matches_scalar(&base, kind, train, &pacing);
+            prop_assert_eq!(u64::from(uncut.beats), total);
+
+            // Cut the train at, just past or just before a late beat's
+            // grant, or anywhere: one call serves exactly the scalar
+            // beats before the horizon, and resuming gives the uncut
+            // result.
+            let grants = scalar_span(&mut base.clone(), kind, train, &pacing).1;
+            let g = grants[rng.gen_range(grants.len() / 2..grants.len())];
+            let horizon = match rng.gen_range(0usize..4) {
+                0 => g,
+                1 => g + Picos(1),
+                2 => g.saturating_sub(Picos(1)),
+                _ => Picos(rng.gen_range(0..uncut.last_done.as_ps() + 2)),
+            };
+            let cut_pacing = RunPacing { horizon, ..pacing };
+            let (mut cut, mut scalar) = (base.clone(), base.clone());
+            let outcome = cut.service_paced_span(kind, train, &cut_pacing);
+            let head = match outcome {
+                SpanOutcome::Served(head) => head,
+                _ => {
+                    prop_assert!(false, "{train:?} must fuse, got {outcome:?}");
+                    unreachable!()
+                }
+            };
+            prop_assert_eq!(head, scalar_span(&mut scalar, kind, train, &cut_pacing).0);
+            prop_assert_eq!(format!("{cut:?}"), format!("{scalar:?}"), "device state after the cut");
+            let rest_pacing = RunPacing {
+                t_kernel_fs: head.t_kernel_fs,
+                probe_beat: pacing.probe_beat.and_then(|b| b.checked_sub(head.beats as u64)),
+                ..pacing
+            };
+            let tail = drive_from(&mut cut, kind, train, &rest_pacing, head.beats.into());
+            let mut whole = base.clone();
+            drive(&mut whole, kind, train, &pacing);
+            prop_assert_eq!(tail.t_kernel_fs, uncut.t_kernel_fs);
+            prop_assert_eq!(head.last_done.max(tail.last_done), uncut.last_done);
+            prop_assert_eq!(head.probe_done.or(tail.probe_done), uncut.probe_done);
+            prop_assert_eq!(format!("{cut:?}"), format!("{whole:?}"), "device state after resuming");
         });
     }
 

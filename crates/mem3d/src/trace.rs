@@ -60,6 +60,47 @@ impl TraceRun {
             stride: 0,
         }
     }
+
+    /// This run moved `by` bytes: every beat keeps its length,
+    /// direction and spacing. `None` if an address would overflow.
+    pub fn moved(self, by: u64) -> Option<TraceRun> {
+        Some(TraceRun {
+            op: TraceOp {
+                addr: self.op.addr.checked_add(by)?,
+                ..self.op
+            },
+            ..self
+        })
+    }
+}
+
+/// A **train** of runs: `run`, then `repeats` more runs of the same
+/// shape, each `step` bytes past the one before — run *m* is
+/// `run.moved(m·step)`. The column sweep of a row-major layout is one:
+/// column *j + 1* is column *j* moved one element along the same
+/// memory rows. Like a run it carries no timing; it is what the phase
+/// driver hands [`MemorySystem::service_paced_span`], which can then
+/// jump over the train's steady state instead of serving every run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TraceTrain {
+    /// The first run.
+    pub run: TraceRun,
+    /// Number of runs after the first.
+    pub repeats: u32,
+    /// Address distance between consecutive runs (0 when `repeats` is
+    /// 0).
+    pub step: u64,
+}
+
+impl From<TraceRun> for TraceTrain {
+    /// A train of one run.
+    fn from(run: TraceRun) -> TraceTrain {
+        TraceTrain {
+            run,
+            repeats: 0,
+            step: 0,
+        }
+    }
 }
 
 /// A lazy, pull-based stream of burst requests with a known byte total.

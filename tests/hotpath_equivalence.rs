@@ -646,3 +646,177 @@ fn whole_system_results_are_path_independent() {
         assert_eq!(a, b, "{arch:?} app diverged");
     }
 }
+
+/// The kernel rate of `lanes` 8-byte lanes at 500 MHz, in ps per byte.
+fn lane_rate(lanes: usize) -> f64 {
+    1e6 / (lanes as f64 * 8.0 * 500.0)
+}
+
+/// Every controller's `Debug` state, in vault order.
+fn controller_states(mem: &MemorySystem) -> Vec<String> {
+    (0..mem.geometry().vaults)
+        .map(|v| format!("{:?}", mem.controller(v)))
+        .collect()
+}
+
+#[test]
+fn row_major_column_trains_are_byte_identical() {
+    // The row-major column sweep is a train of runs: column j + 1 is
+    // column j moved one element along the same memory rows, so the
+    // Fast path serves a few columns and jumps the train's steady state
+    // — on the vault-interleaved map every column hops vaults each
+    // beat, on the chunked map it stays in one bank. It must equal the
+    // scalar Reference path in the report, the statistics and every
+    // controller's state. The phase driver's bytes-issued-equal-bytes-
+    // served check (a debug assertion in `run_phase`) runs on every
+    // jumped phase here too.
+    let geom = Geometry::default();
+    let timing = TimingParams::default();
+    let mut cases = Vec::new();
+    for n in [64usize, 256, 1024, 2048] {
+        for interleaved in [false, true] {
+            for lanes in [4usize, 8, 16] {
+                cases.push((n, interleaved, lanes));
+            }
+        }
+    }
+    // The probe lands in the first column or deep inside the train.
+    let check = |&(n, interleaved, lanes): &(usize, bool, usize)| {
+        let probe = if lanes == 8 { n * n * 5 } else { n * 8 };
+        let cfg = DriverConfig {
+            ps_per_byte: lane_rate(lanes),
+            window_bytes: 256 * 1024,
+            write_delay: Picos::ZERO,
+            latency_probe_bytes: probe as u64,
+        };
+        let p = LayoutParams::for_device(n, &geom, &timing);
+        let l = if interleaved {
+            RowMajor::interleaved(&p)
+        } else {
+            RowMajor::new(&p)
+        };
+        let (fast, reference, mem_fast, mem_ref) = phase_both_paths(
+            geom,
+            timing,
+            &cfg,
+            Picos::ZERO,
+            (
+                &mut col_phase_stream(&l, Direction::Read, 1),
+                &mut col_phase_stream(&l, Direction::Read, 1),
+            ),
+            l.map_kind(),
+            None,
+        );
+        let case = format!("n = {n}, interleaved = {interleaved}, lanes = {lanes}");
+        assert_eq!(fast, reference, "{case}");
+        assert_eq!(fast.read_bytes, (n * n * 8) as u64, "{case}");
+        assert_eq!(mem_fast.stats(), mem_ref.stats(), "{case}");
+        assert_eq!(
+            controller_states(&mem_fast),
+            controller_states(&mem_ref),
+            "{case}"
+        );
+    };
+    // Two workers split the grid: the Reference legs at N = 2048 are
+    // millions of scalar beats each.
+    std::thread::scope(|s| {
+        let (a, b) = cases.split_at(cases.len() / 2);
+        let worker = s.spawn(|| a.iter().for_each(check));
+        b.iter().for_each(check);
+        worker.join().expect("worker");
+    });
+}
+
+#[test]
+fn row_major_column_trains_resume_at_run_boundaries_and_horizons() {
+    // `ResumablePhase::step_until` cuts a train wherever its horizon
+    // falls. Cut exactly at the grant of each of the first 8 run
+    // boundaries (the first beat of column r), the served prefix must
+    // leave every controller as the Reference pipeline leaves it after
+    // as many beats, and resuming to the end must give the Reference
+    // report; the same at random horizons.
+    let geom = Geometry::default();
+    let timing = TimingParams::default();
+    let n = 256;
+    let p = LayoutParams::for_device(n, &geom, &timing);
+    for l in [RowMajor::new(&p), RowMajor::interleaved(&p)] {
+        let cfg = DriverConfig {
+            ps_per_byte: lane_rate(8),
+            window_bytes: 16 * 1024,
+            write_delay: Picos::ZERO,
+            latency_probe_bytes: 0,
+        };
+        let open = |mem: &MemorySystem| {
+            ResumablePhase::new(
+                mem,
+                &cfg,
+                Box::new(col_phase_stream(&l, Direction::Read, 1)),
+                l.map_kind(),
+                None,
+                Picos::ZERO,
+            )
+            .expect("resumable phase")
+        };
+        let reference_mem = || {
+            let mut m = MemorySystem::new(geom, timing);
+            m.set_service_path(ServicePath::Reference);
+            m
+        };
+        // The Reference pipeline beat by beat: each beat's grant, and
+        // the whole report.
+        let mut mem_ref = reference_mem();
+        let mut phase = open(&mem_ref);
+        let mut grants = Vec::new();
+        while let Some(next) = phase.peek() {
+            let vault = mem_ref.vault_of(l.map_kind(), next.op.addr).unwrap();
+            grants.push(next.arrive.max(mem_ref.controller(vault).tsv_free_at()));
+            phase.step(&mut mem_ref).unwrap();
+        }
+        let reference = phase.finish(&mut mem_ref).unwrap();
+        assert_eq!(grants.len(), n * n);
+
+        // The Reference state after the first `beats` beats.
+        let reference_after = |beats: u64| {
+            let mut mem = reference_mem();
+            let mut phase = open(&mem);
+            for _ in 0..beats {
+                phase.step(&mut mem).unwrap();
+            }
+            controller_states(&mem)
+        };
+        for r in 1..=8 {
+            let mut mem = MemorySystem::new(geom, timing);
+            let mut phase = open(&mem);
+            phase.step_until(&mut mem, grants[r * n]).unwrap();
+            let served = mem.stats().requests;
+            assert!(served <= (r * n) as u64, "run {r}: served {served} beats");
+            assert_eq!(
+                controller_states(&mem),
+                reference_after(served),
+                "{:?} cut at run {r}",
+                l.map_kind()
+            );
+            while phase.step_until(&mut mem, Picos::MAX).unwrap().is_some() {}
+            assert_eq!(phase.finish(&mut mem).unwrap(), reference);
+            assert_eq!(mem.stats(), mem_ref.stats());
+        }
+        sim_util::prop_check!(cases: 8, |rng| {
+            let mut mem = MemorySystem::new(geom, timing);
+            let mut phase = open(&mem);
+            while let Some(next) = phase.peek() {
+                let horizon = match rng.gen_range(0usize..8) {
+                    0 => Picos::MAX,
+                    1 => Picos::ZERO,
+                    2 => grants[rng.gen_range(0..grants.len())],
+                    _ => {
+                        let reach = 1u64 << rng.gen_range(10u32..24);
+                        next.arrive + Picos(rng.gen_range(0..reach))
+                    }
+                };
+                phase.step_until(&mut mem, horizon).unwrap();
+            }
+            prop_assert_eq!(phase.finish(&mut mem).unwrap(), reference);
+            prop_assert_eq!(controller_states(&mem), controller_states(&mem_ref));
+        });
+    }
+}

@@ -118,3 +118,43 @@ fn data_parallelism_contrast() {
     assert!(opt.data_parallelism > 7.0, "got {}", opt.data_parallelism);
     assert!(base.data_parallelism < 1.0, "got {}", base.data_parallelism);
 }
+
+/// An absolute oracle over the design-space sweep: no design point may
+/// read faster than the physics allows — neither the device's peak
+/// (vaults × TSV rate) nor its kernel's ceiling of `lanes × 8 B` per
+/// cycle. The row-major candidates with one column per group are the
+/// sweep's cross-run jumps; they must be among the points checked.
+#[test]
+fn explored_throughput_never_exceeds_the_physical_bound() {
+    use layout::FamilyId;
+    use mem3d::MemorySystem;
+    use sim_exec::ExecConfig;
+
+    let sys = System::default();
+    let cfg = sys.config();
+    let peak = MemorySystem::new(cfg.geometry, cfg.timing).peak_bandwidth_gbps();
+    let lanes = [4usize, 8, 16];
+    for n in [256usize, 1024] {
+        let ex = sys
+            .explore_with(&ExecConfig::sequential().with_threads(2), n, &lanes)
+            .unwrap();
+        assert!(ex.failures.is_empty(), "{:?}", ex.failures);
+        for p in &ex.points {
+            // The kernel's clock period is whole picoseconds and its
+            // per-byte time whole femtoseconds: allow that rounding.
+            let kernel = p.lanes as f64 * 8.0 * p.clock_mhz / 1e3 * (1.0 + 1e-3);
+            assert!(
+                p.throughput_gbps <= peak.min(kernel),
+                "n = {n}: {p:?} beats min({peak}, {kernel}) GB/s"
+            );
+        }
+        for l in lanes {
+            assert!(
+                ex.points
+                    .iter()
+                    .any(|p| p.lanes == l && p.family == FamilyId::RowMajor && p.h == 1),
+                "n = {n}, lanes = {l}: no row-major h = 1 point"
+            );
+        }
+    }
+}
