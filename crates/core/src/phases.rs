@@ -47,7 +47,7 @@
 
 use mem3d::{
     AddressMapKind, Direction, MemorySystem, Picos, RequestSource, RunPacing, RunServed,
-    SpanOutcome, Stats, TraceOp, TraceRun, TraceTrain,
+    SpanOutcome, Stats, TraceOp, TraceRun, TraceTrain, VaultLease,
 };
 use sim_util::pool::ExclusivePool;
 
@@ -195,6 +195,28 @@ fn fs_to_picos(fs: u128) -> Picos {
     Picos::from_fs_clock(fs)
 }
 
+/// How far one [`ResumablePhase::step_until`] call may go: on past the
+/// granted beat while the next beat's grant is strictly before
+/// `horizon`, or while `lease` covers it (see [`VaultLease`]). A bare
+/// [`Picos`] converts into a limit with no lease.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StepLimit {
+    /// The earliest competing event the scheduler knows of.
+    pub horizon: Picos,
+    /// Contended picks the scheduler's arbiter granted the phase ahead
+    /// of time.
+    pub lease: Option<VaultLease>,
+}
+
+impl From<Picos> for StepLimit {
+    fn from(horizon: Picos) -> Self {
+        StepLimit {
+            horizon,
+            lease: None,
+        }
+    }
+}
+
 /// Everything one phase carries between beats: the kernel clock, the
 /// read frontier, the unserved rest of the current read run, the
 /// delayed write machinery and the report accumulators. Deliberately
@@ -251,6 +273,8 @@ struct DriverState {
     ahead: Option<TraceRun>,
     /// The read stream has run dry.
     drained: bool,
+    /// Leased beats the last [`step_until`](Self::step_until) served.
+    leased: u32,
 }
 
 impl DriverState {
@@ -312,6 +336,7 @@ impl DriverState {
             step: 0,
             ahead: None,
             drained: false,
+            leased: 0,
         })
     }
 
@@ -432,44 +457,56 @@ impl DriverState {
         }
     }
 
-    /// Whether read burst `op`, issued next, is granted strictly before
-    /// `horizon`. A beat's grant is `max(arrival, tsv_free_at)` on the
-    /// vault it targets — the key an external scheduler orders
-    /// competing beats by. An address that fails to decode is never
-    /// due, so the scheduler's own decode reports the error.
-    fn due(&self, mem: &MemorySystem, op: TraceOp, horizon: Picos) -> bool {
-        if horizon == Picos::MAX {
+    /// Whether read burst `op`, issued next, is due under `limit`: its
+    /// grant is strictly before the horizon, or the lease covers it (and
+    /// then it uses one of the lease's picks). A beat's grant is
+    /// `max(arrival, tsv_free_at)` on the vault it targets — the key an
+    /// external scheduler orders competing beats by. An address that
+    /// fails to decode is never due, so the scheduler's own decode
+    /// reports the error.
+    fn due(&self, mem: &MemorySystem, op: TraceOp, limit: &mut StepLimit) -> bool {
+        if limit.horizon == Picos::MAX {
             return true;
         }
         mem.vault_of(self.read_map, op.addr).is_ok_and(|vault| {
-            self.next_arrive().max(mem.controller(vault).tsv_free_at()) < horizon
+            let at = self.next_arrive();
+            let tsv_free = mem.controller(vault).tsv_free_at();
+            at.max(tsv_free) < limit.horizon
+                || limit
+                    .lease
+                    .as_mut()
+                    .is_some_and(|l| l.take(vault, op.bytes, at, tsv_free))
         })
     }
 
     /// The one stepper: serves the next read beat unconditionally (the
     /// beat a scheduler granted), then keeps serving while the next
-    /// beat's grant is strictly before `horizon` — whole spans through
+    /// beat is due under `limit` — whole spans through
     /// [`MemorySystem::service_paced_span`] when there is no write
     /// side, scalar beats otherwise, or where the classifier asks for
     /// one ([`SpanOutcome::Step`]) or gives the run up
     /// ([`SpanOutcome::Scalar`], always the answer on
-    /// [`ServicePath::Reference`](mem3d::ServicePath::Reference)).
-    /// Returns the latest completion among the served beats, or `None`
-    /// when the read side is exhausted.
+    /// [`ServicePath::Reference`](mem3d::ServicePath::Reference)). A
+    /// span that serves nothing ends the step, unless there is a lease:
+    /// the span classes may decline leased beats, so the next beat then
+    /// gets the scalar due check. Returns the latest completion among
+    /// the served beats, or `None` when the read side is exhausted.
     fn step_until(
         &mut self,
         mem: &mut MemorySystem,
         reads: &mut dyn RequestSource,
         mut writes: Option<&mut (dyn RequestSource + '_)>,
-        horizon: Picos,
+        mut limit: StepLimit,
     ) -> Result<Option<Picos>, Fft2dError> {
+        let picks = limit.lease.map_or(0, |l| l.picks);
+        self.leased = 0;
         let Some(run) = self.pull(reads) else {
             return Ok(None);
         };
         let mut done = self.scalar_beat(mem, writes.as_deref_mut(), run.op)?;
         self.consume(1);
         // No grant is ever before time zero.
-        if horizon == Picos::ZERO {
+        if limit.horizon == Picos::ZERO && limit.lease.is_none() {
             return Ok(Some(done));
         }
         while let Some(run) = self.pull(reads) {
@@ -477,25 +514,27 @@ impl DriverState {
                 let train = self.train(run);
                 let beats = u64::from(run.beats) * (u64::from(train.repeats) + 1);
                 let probe_beat = self.probe_beat(run.op.bytes, beats);
-                let pacing = self.pacing(run.op.bytes, probe_beat, horizon);
+                let pacing = self.pacing(run.op.bytes, probe_beat, &limit);
                 match mem.service_paced_span(self.read_map, train, &pacing) {
-                    SpanOutcome::Served(served) if served.beats == 0 => break,
-                    SpanOutcome::Served(served) => {
+                    SpanOutcome::Served(served) if served.beats > 0 => {
                         self.apply_served(&served, run.op.bytes);
                         done = done.max(served.last_done);
                         self.consume(served.beats);
+                        limit.lease = limit.lease.map(|l| l.after(served.leased));
                         continue;
                     }
-                    SpanOutcome::Step => {}
+                    SpanOutcome::Served(_) if limit.lease.is_none() => break,
+                    SpanOutcome::Served(_) | SpanOutcome::Step => {}
                     SpanOutcome::Scalar => self.fuse = false,
                 }
             }
-            if !self.due(mem, run.op, horizon) {
+            if !self.due(mem, run.op, &mut limit) {
                 break;
             }
             done = done.max(self.scalar_beat(mem, writes.as_deref_mut(), run.op)?);
             self.consume(1);
         }
+        self.leased = picks - limit.lease.map_or(0, |l| l.picks);
         Ok(Some(done))
     }
 
@@ -580,14 +619,15 @@ impl DriverState {
     /// The pacing law handed to the memory system's fused span loops —
     /// exactly the arithmetic [`scalar_beat`](Self::scalar_beat) applies
     /// per beat, packaged as registers.
-    fn pacing(&self, op_bytes: u32, probe_beat: Option<u64>, horizon: Picos) -> RunPacing {
+    fn pacing(&self, op_bytes: u32, probe_beat: Option<u64>, limit: &StepLimit) -> RunPacing {
         RunPacing {
             t_kernel_fs: self.t_kernel_fs,
             window_fs: self.window_fs,
             op_fs: op_bytes as u128 * self.rate_fs,
             floor: self.start,
             probe_beat,
-            horizon,
+            horizon: limit.horizon,
+            lease: limit.lease,
         }
     }
 
@@ -804,14 +844,16 @@ impl<'s> ResumablePhase<'s> {
 
     /// Serves the next read burst against `mem`, then keeps serving
     /// while the following burst's grant — `max(arrival, tsv_free_at)`
-    /// on the vault it targets — is strictly before `horizon`
-    /// ([`Picos::MAX`] runs the phase's read side to the end). Returns
-    /// the latest completion among the served bursts, or `Ok(None)`
-    /// when the read side is exhausted and the phase is ready to
-    /// [`finish`](Self::finish).
+    /// on the vault it targets — is strictly before the limit's horizon
+    /// ([`Picos::MAX`] runs the phase's read side to the end), or the
+    /// limit's [`VaultLease`] covers the burst. Returns the latest
+    /// completion among the served bursts, or `Ok(None)` when the read
+    /// side is exhausted and the phase is ready to
+    /// [`finish`](Self::finish). [`leased_picks`](Self::leased_picks)
+    /// then tells how many of the lease's picks the call used.
     ///
     /// Every burst is served exactly as a one-at-a-time
-    /// [`step`](Self::step) would serve it; the horizon only decides how
+    /// [`step`](Self::step) would serve it; the limit only decides how
     /// many are served per call.
     ///
     /// # Errors
@@ -821,10 +863,21 @@ impl<'s> ResumablePhase<'s> {
     pub fn step_until(
         &mut self,
         mem: &mut MemorySystem,
-        horizon: Picos,
+        limit: impl Into<StepLimit>,
     ) -> Result<Option<Picos>, Fft2dError> {
-        self.state
-            .step_until(mem, &mut *self.reads, self.writes.as_deref_mut(), horizon)
+        self.state.step_until(
+            mem,
+            &mut *self.reads,
+            self.writes.as_deref_mut(),
+            limit.into(),
+        )
+    }
+
+    /// Leased bursts the last [`step_until`](Self::step_until) call
+    /// served: the picks of its lease it used, for the scheduler's
+    /// arbiter to commit.
+    pub fn leased_picks(&self) -> u32 {
+        self.state.leased
     }
 
     /// Serves exactly one read burst:
@@ -957,7 +1010,7 @@ pub fn run_phase_in(
         reads.total_bytes(),
     )?;
     while state
-        .step_until(mem, reads, write_src.as_deref_mut(), Picos::MAX)?
+        .step_until(mem, reads, write_src.as_deref_mut(), Picos::MAX.into())?
         .is_some()
     {}
     let (report, pending) = state.finish(mem, write_src, before, true)?;

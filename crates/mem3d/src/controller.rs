@@ -19,8 +19,9 @@ const FS_PER_PS: u128 = 1_000;
 /// The fused loops serve beats only while each beat's **grant** —
 /// `max(arrival, tsv_free_at)` on the vault it targets, the key an
 /// external scheduler orders competing beats by — is strictly before
-/// [`horizon`](Self::horizon); they stop before the first beat whose
-/// grant reaches it.
+/// [`horizon`](Self::horizon), or the beat is covered by the
+/// [`lease`](Self::lease); they stop before the first beat that is
+/// neither.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunPacing {
     /// Kernel consumption clock (femtoseconds) when the run starts.
@@ -36,8 +37,79 @@ pub struct RunPacing {
     /// probe fires on, if it fires within this run.
     pub probe_beat: Option<u64>,
     /// Stop before the first beat granted at or after this time
-    /// ([`Picos::MAX`] for no limit).
+    /// ([`Picos::MAX`] for no limit), unless the lease covers it.
     pub horizon: Picos,
+    /// Contended picks an external arbiter granted ahead of time.
+    pub lease: Option<VaultLease>,
+}
+
+/// A winning streak granted ahead of time: an external arbiter's
+/// promise that the phase it just picked on [`vault`](Self::vault)
+/// would win up to [`picks`](Self::picks) more contended picks in a
+/// row against the same losers.
+///
+/// A beat is **leased** — served although its grant is not before
+/// [`RunPacing::horizon`] — when all of these hold:
+///
+/// * it targets [`vault`](Self::vault) and moves
+///   [`bytes`](Self::bytes), the winning beat's size;
+/// * it is a TSV tie: it arrives no later than the vault's
+///   `tsv_free_at`, so its grant is the link's free time — the same
+///   grant every loser has;
+/// * it arrives no later than [`ready_by`](Self::ready_by), the
+///   arbiter's bound on the winner's ready time;
+/// * its grant is strictly before [`horizon`](Self::horizon), the
+///   earliest event outside the contender set;
+/// * picks remain.
+///
+/// Each leased beat uses one pick. A beat granted before
+/// [`RunPacing::horizon`] uses none: no loser is ready for it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct VaultLease {
+    /// The contended vault.
+    pub vault: usize,
+    /// The winning beat's size in bytes.
+    pub bytes: u32,
+    /// Picks left.
+    pub picks: u32,
+    /// Latest arrival a leased beat may have.
+    pub ready_by: Picos,
+    /// Leased beats are granted strictly before this time.
+    pub horizon: Picos,
+}
+
+impl VaultLease {
+    /// Whether the lease covers a beat of `bytes` bytes on `vault`,
+    /// arriving at `at` while the vault's link frees at `tsv_free`.
+    pub fn covers(&self, vault: usize, bytes: u32, at: Picos, tsv_free: Picos) -> bool {
+        vault == self.vault
+            && bytes == self.bytes
+            && self.picks > 0
+            && at <= tsv_free
+            && at <= self.ready_by
+            && tsv_free < self.horizon
+    }
+
+    /// Uses one pick on the beat [`covers`](Self::covers) describes;
+    /// `false`, using none, if the lease does not cover it.
+    pub fn take(&mut self, vault: usize, bytes: u32, at: Picos, tsv_free: Picos) -> bool {
+        let covered = self.covers(vault, bytes, at, tsv_free);
+        if covered {
+            self.picks -= 1;
+        }
+        covered
+    }
+
+    /// The lease after `used` more picks.
+    pub fn after(mut self, used: u32) -> Self {
+        self.picks = self.picks.saturating_sub(used);
+        self
+    }
+}
+
+/// Picks `after` used of `before` (both the same lease, or none).
+pub(crate) fn picks_used(before: Option<VaultLease>, after: Option<VaultLease>) -> u32 {
+    before.map_or(0, |b| b.picks) - after.map_or(0, |a| a.picks)
 }
 
 #[cfg(test)]
@@ -62,6 +134,8 @@ pub struct RunServed {
     pub last_done: Picos,
     /// Completion time of [`RunPacing::probe_beat`], when requested.
     pub probe_done: Option<Picos>,
+    /// Beats served under [`RunPacing::lease`] (each used one pick).
+    pub leased: u32,
 }
 
 /// A vault's shared clocks: its most recent activate (start, layer,
@@ -403,8 +477,13 @@ impl VaultController {
     /// apart, from one loop iteration per beat into a handful per run.
     ///
     /// Beats are served only while their grant is strictly before
-    /// [`RunPacing::horizon`]; the returned [`RunServed::beats`] counts
-    /// the served prefix, which is zero when beat 0 is not due.
+    /// [`RunPacing::horizon`] or [`RunPacing::lease`] covers them; the
+    /// returned [`RunServed::beats`] counts the served prefix, which is
+    /// zero when beat 0 is not due. A jump over leased beats also stops
+    /// short of the remaining picks, of the first beat arriving after
+    /// [`VaultLease::ready_by`] and of the first granted at or after
+    /// [`VaultLease::horizon`]. A TSV tie stays a tie across the jump:
+    /// arrival and link-free time both move by Δ per beat.
     ///
     /// The caller ([`crate::MemorySystem::service_paced_span`])
     /// guarantees the preconditions; they are debug-asserted here.
@@ -444,14 +523,22 @@ impl VaultController {
         // Beat 0: the full scalar path, so an already-open row, a prior
         // activate elsewhere in the vault and a busy TSV link are all
         // honoured exactly.
+        // The lease counts down as leased beats are served.
+        let mut lease = pacing.lease;
+        let vault = self.vault;
         let mut t_fs = pacing.t_kernel_fs;
         let at0 = arrive(t_fs);
-        if at0.max(self.tsv_free_at) >= pacing.horizon {
+        if at0.max(self.tsv_free_at) >= pacing.horizon
+            && !lease
+                .as_mut()
+                .is_some_and(|l| l.take(vault, bytes, at0, self.tsv_free_at))
+        {
             return RunServed {
                 beats: 0,
                 t_kernel_fs: t_fs,
                 last_done: Picos::ZERO,
                 probe_done: None,
+                leased: 0,
             };
         }
         let out0 = self.service(Request {
@@ -500,7 +587,11 @@ impl VaultController {
         while served < beats {
             let i = served as u64;
             let at = arrive(t_fs);
-            if at.max(tsv_free) >= pacing.horizon {
+            if at.max(tsv_free) >= pacing.horizon
+                && !lease
+                    .as_mut()
+                    .is_some_and(|l| l.take(vault, bytes, at, tsv_free))
+            {
                 break;
             }
             #[cfg(test)]
@@ -537,7 +628,7 @@ impl VaultController {
             // Steady state: this beat left the same relative state as
             // the one before, so every later beat repeats it shifted by
             // `delta` (see the method docs) — jump over as many as the
-            // run, the probe and the horizon allow.
+            // run, the probe and the horizon (or the lease) allow.
             let rel = (
                 t_fs - done.as_ps() as u128 * FS_PER_PS,
                 done - last_act,
@@ -551,15 +642,30 @@ impl VaultController {
                 if let Some(p) = pacing.probe_beat.filter(|&p| p >= u64::from(served)) {
                     k = k.min(cap(p - u64::from(served)));
                 }
-                let grant = arrive(t_fs).max(tsv_free);
-                if grant >= pacing.horizon {
-                    k = 0;
-                } else if let Some(q) =
-                    (pacing.horizon.as_ps() - 1 - grant.as_ps()).checked_div(delta)
-                {
+                // The number of beats from the next whose value, moving
+                // up by `delta` per beat from `from`, stays at or below
+                // `last`; a zero delta never passes it.
+                let within = |from: Picos, last: Picos| {
+                    last.as_ps().checked_sub(from.as_ps()).map_or(0, |room| {
+                        room.checked_div(delta).map_or(u32::MAX, |q| cap(q + 1))
+                    })
+                };
+                let next_at = arrive(t_fs);
+                let grant = next_at.max(tsv_free);
+                // Whether the jumped beats are leased: all of them are
+                // when the next one is, as grants only grow.
+                let lease_jump = grant >= pacing.horizon;
+                if !lease_jump {
                     // The last jumped grant, `grant + (k−1)·delta`, stays
-                    // before the horizon; a zero delta never reaches it.
-                    k = k.min(cap(q + 1));
+                    // before the horizon.
+                    k = k.min(within(grant, pacing.horizon - Picos(1)));
+                } else if let Some(l) = lease.filter(|l| l.covers(vault, bytes, next_at, tsv_free))
+                {
+                    k = k.min(l.picks);
+                    k = k.min(within(next_at, l.ready_by));
+                    k = k.min(within(grant, l.horizon - Picos(1)));
+                } else {
+                    k = 0;
                 }
                 let jump = delta.checked_mul(u64::from(k)).and_then(|d| {
                     let done_k = done.as_ps().checked_add(d)?;
@@ -573,6 +679,9 @@ impl VaultController {
                     Some((Picos(d), Picos(done_k), Picos(lat_k), t_fs_k, rows))
                 });
                 if let Some((d, done_k, lat_k, t_fs_k, rows)) = jump.filter(|_| k > 0) {
+                    if let Some(l) = lease.as_mut().filter(|_| lease_jump) {
+                        l.picks -= k;
+                    }
                     served += k;
                     row += rows;
                     last_act += d;
@@ -614,6 +723,7 @@ impl VaultController {
             t_kernel_fs: t_fs,
             last_done: done,
             probe_done,
+            leased: picks_used(pacing.lease, lease),
         }
     }
 }
@@ -860,8 +970,9 @@ mod tests {
     /// The driver's scalar loop over a paced strided run: one
     /// [`service`](VaultController::service) per beat under the pacing
     /// law, stopping before the first beat whose grant
-    /// (`max(arrival, tsv_free_at)`) reaches the horizon. Also returns
-    /// each served beat's grant.
+    /// (`max(arrival, tsv_free_at)`) reaches the horizon and which the
+    /// lease does not cover. Also returns each served beat's arrival and
+    /// grant.
     fn scalar_paced(
         c: &mut VaultController,
         loc: Location,
@@ -870,23 +981,30 @@ mod tests {
         row_step: usize,
         beats: u32,
         pacing: &RunPacing,
-    ) -> (RunServed, Vec<Picos>) {
+    ) -> (RunServed, Vec<(Picos, Picos)>) {
         let mut served = RunServed {
             beats: 0,
             t_kernel_fs: pacing.t_kernel_fs,
             last_done: Picos::ZERO,
             probe_done: None,
+            leased: 0,
         };
+        let mut lease = pacing.lease;
         let mut grants = Vec::new();
         for i in 0..beats as u64 {
             let t_fs = served.t_kernel_fs;
             let at =
                 Picos((t_fs.saturating_sub(pacing.window_fs) / 1_000) as u64).max(pacing.floor);
-            let grant = at.max(c.tsv_free_at());
-            if grant >= pacing.horizon {
+            let tsv_free = c.tsv_free_at();
+            let grant = at.max(tsv_free);
+            if grant >= pacing.horizon
+                && !lease
+                    .as_mut()
+                    .is_some_and(|l| l.take(c.vault(), bytes, at, tsv_free))
+            {
                 break;
             }
-            grants.push(grant);
+            grants.push((at, grant));
             let beat_loc = Location {
                 row: loc.row + i as usize * row_step,
                 ..loc
@@ -904,6 +1022,7 @@ mod tests {
                 served.probe_done = Some(out.done);
             }
         }
+        served.leased = picks_used(pacing.lease, lease);
         (served, grants)
     }
 
@@ -1014,6 +1133,7 @@ mod tests {
                 floor: Picos(rng.gen_range(0u64..1 << 30)),
                 probe_beat: rng.gen_bool().then(|| rng.gen_range(0u64..beats as u64)),
                 horizon: Picos::MAX,
+                lease: None,
             };
             let served = assert_paced_matches_scalar(c, loc, bytes, dir, row_step, beats, pacing);
             assert_eq!(served.beats, beats, "an unbounded horizon serves every beat");
@@ -1026,9 +1146,11 @@ mod tests {
         // memory-bound, kernel-bound and floor-bound starts, with
         // sub-picosecond kernel rates, a latency probe anywhere (most
         // often inside the would-be jump) and horizons exactly at, just
-        // before and just after a late beat's grant.
+        // before and just after a late beat's grant — or leases whose
+        // picks, ready bound and horizon sit there. A third of the cases
+        // each: no horizon, a horizon, a lease.
         use sim_util::prop_check;
-        prop_check!(cases: 48, |rng| {
+        prop_check!(cases: 96, |rng| {
             let c = warmed_ctl(rng);
             let beats = rng.gen_range(200u32..4000);
             let row_step = rng.gen_range(1usize..3);
@@ -1073,16 +1195,42 @@ mod tests {
                 floor,
                 probe_beat: rng.gen_bool().then(|| rng.gen_range(0u64..beats as u64)),
                 horizon: Picos::MAX,
+                lease: None,
             };
-            if rng.gen_range(0usize..4) > 0 {
-                let (_, grants) =
-                    scalar_paced(&mut c.clone(), loc, bytes, dir, row_step, beats, &pacing);
-                let g = grants[rng.gen_range(grants.len() / 2..grants.len())];
-                pacing.horizon = match rng.gen_range(0usize..3) {
-                    0 => g,
-                    1 => g + Picos(1),
-                    _ => g.saturating_sub(Picos(1)),
-                };
+            let near = |rng: &mut sim_util::SimRng, t: Picos| match rng.gen_range(0usize..3) {
+                0 => t,
+                1 => t + Picos(1),
+                _ => t.saturating_sub(Picos(1)),
+            };
+            let (_, beats_at) = scalar_paced(&mut c.clone(), loc, bytes, dir, row_step, beats, &pacing);
+            let late = rng.gen_range(beats_at.len() / 2..beats_at.len());
+            match rng.gen_range(0usize..3) {
+                0 => {}
+                1 => pacing.horizon = near(rng, beats_at[late].1),
+                // Leased: the horizon admits at most the first quarter
+                // of the run, and the lease's picks, ready bound and
+                // horizon each sit at, or one off, a late beat's — or
+                // do not bind.
+                _ => {
+                    pacing.horizon = match rng.gen_range(0usize..2) {
+                        0 => Picos::ZERO,
+                        _ => beats_at[rng.gen_range(0..beats_at.len() / 4)].1,
+                    };
+                    let bound = |rng: &mut sim_util::SimRng, t: Picos| {
+                        if rng.gen_bool() { near(rng, t) } else { Picos::MAX }
+                    };
+                    pacing.lease = Some(VaultLease {
+                        vault: if rng.gen_range(0usize..16) == 0 { 1 } else { 0 },
+                        bytes: if rng.gen_range(0usize..16) == 0 { bytes + 1 } else { bytes },
+                        picks: if rng.gen_bool() {
+                            near(rng, Picos(late as u64)).as_ps() as u32
+                        } else {
+                            u32::MAX
+                        },
+                        ready_by: bound(rng, beats_at[late].0),
+                        horizon: bound(rng, beats_at[late].1),
+                    });
+                }
             }
             assert_paced_matches_scalar(c, loc, bytes, dir, row_step, beats, pacing);
         });
@@ -1101,6 +1249,7 @@ mod tests {
             floor: Picos::ZERO,
             probe_beat: Some(2500),
             horizon: Picos::MAX,
+            lease: None,
         };
         let iterations = || PACED_LOOP_ITERATIONS.with(|n| n.get());
         let before = iterations();
@@ -1120,6 +1269,50 @@ mod tests {
             looped < 16,
             "{looped} loop iterations for a 4000-beat steady run: the jump did not engage"
         );
+    }
+
+    #[test]
+    fn leased_steady_run_jumps_too() {
+        // The baseline column shape again, but nothing is due on the
+        // horizon: every beat is a TSV tie served under a lease (the
+        // window keeps arrivals far ahead of the link). The jump must
+        // engage across leased beats and stop exactly at the picks.
+        let window_fs = 1u128 << 26;
+        for picks in [u32::MAX, 2500] {
+            let pacing = RunPacing {
+                t_kernel_fs: window_fs,
+                window_fs,
+                op_fs: 31_250,
+                floor: Picos::ZERO,
+                probe_beat: None,
+                horizon: Picos::ZERO,
+                lease: Some(VaultLease {
+                    vault: 0,
+                    bytes: 8,
+                    picks,
+                    ready_by: Picos::MAX,
+                    horizon: Picos::MAX,
+                }),
+            };
+            let iterations = || PACED_LOOP_ITERATIONS.with(|n| n.get());
+            let before = iterations();
+            let served = assert_paced_matches_scalar(
+                ctl(),
+                loc(1, 3, 0, 8),
+                8,
+                Direction::Read,
+                2,
+                4000,
+                pacing,
+            );
+            let looped = iterations() - before;
+            assert_eq!(served.beats, picks.min(4000));
+            assert_eq!(served.leased, served.beats, "every beat used a pick");
+            assert!(
+                looped < 16,
+                "{looped} loop iterations for a leased steady run: the jump did not engage"
+            );
+        }
     }
 
     #[test]

@@ -69,7 +69,9 @@
 //!   the driver stops probing ([`SpanOutcome::Scalar`] — the amortized
 //!   run-probe gate). Every fused loop stops at the pacing law's
 //!   horizon ([`RunPacing::horizon`]), which is what lets a multi-tenant
-//!   scheduler fuse one tenant's beats up to the next competing event;
+//!   scheduler fuse one tenant's beats up to the next competing event,
+//!   and serves on past it the beats an arbiter's [`VaultLease`] covers
+//!   — a contended winner's streak;
 //! * **cross-run trains** — the driver hands over a [`TraceTrain`]: a
 //!   run plus the runs that repeat it moved along the same memory rows
 //!   (the columns of a row-major column sweep). The memory system
@@ -118,7 +120,7 @@ mod trace;
 
 pub use address::{AddressMap, AddressMapKind};
 pub use bank::BankState;
-pub use controller::{RunPacing, RunServed, VaultController};
+pub use controller::{RunPacing, RunServed, VaultController, VaultLease};
 pub use energy::{EnergyParams, EnergyReport};
 pub use error::{Error, Result};
 pub use geometry::{Geometry, Location};

@@ -1,6 +1,6 @@
 //! The complete memory device: all vaults behind one façade.
 
-use crate::controller::VaultClocks;
+use crate::controller::{picks_used, VaultClocks};
 use crate::{
     AddressMap, AddressMapKind, BandwidthReport, BankState, Direction, Error, Geometry, Location,
     Picos, Request, RequestOutcome, Result, RunPacing, RunServed, Stats, TimingParams, TraceOp,
@@ -645,7 +645,11 @@ impl MemorySystem {
     /// first beat whose grant reaches it, so a `Served` span may cover
     /// fewer beats than either class could prove — zero included. A
     /// `Served` span's beats count from the train's first beat, and so
-    /// does [`RunPacing::probe_beat`].
+    /// does [`RunPacing::probe_beat`]. Both classes also serve the beats
+    /// [`RunPacing::lease`] covers ([`RunServed::leased`] counts them);
+    /// the cross-run jump declines the lease — it only jumps runs whose
+    /// every beat is granted before the horizon, which use no pick — so
+    /// a leased train is served run by run.
     ///
     /// Every fused span is bit-identical — in outcomes, statistics and
     /// controller state — to the driver's scalar per-beat loop under
@@ -705,12 +709,14 @@ impl MemorySystem {
                 probe_beat: pacing
                     .probe_beat
                     .and_then(|b| b.checked_sub(u64::from(acc.beats))),
+                lease: pacing.lease.map(|l| l.after(acc.leased)),
                 ..*pacing
             };
             let SpanOutcome::Served(s) = self.span_run(map_kind, run, &p) else {
                 break;
             };
             acc.beats += s.beats;
+            acc.leased += s.leased;
             acc.t_kernel_fs = s.t_kernel_fs;
             acc.last_done = acc.last_done.max(s.last_done);
             acc.probe_done = acc.probe_done.or(s.probe_done);
@@ -959,7 +965,8 @@ impl MemorySystem {
     /// boundaries (refresh windows, TSV saturation crossings, bank
     /// conflicts) resolve inside it without a fallback. It stops before
     /// the first beat whose grant on its vault reaches
-    /// [`RunPacing::horizon`].
+    /// [`RunPacing::horizon`] and which [`RunPacing::lease`] does not
+    /// cover.
     ///
     /// Preconditions (caller-checked): fast path, `beats ≥ 2`,
     /// `bytes > 0`, every beat inside one row, whole run inside the
@@ -971,6 +978,7 @@ impl MemorySystem {
         pacing: &RunPacing,
     ) -> RunServed {
         let map = self.maps[map_kind.index()];
+        let mut lease = pacing.lease;
         let mut t_fs = pacing.t_kernel_fs;
         let mut addr = run.op.addr;
         let mut probe_done = None;
@@ -983,7 +991,12 @@ impl MemorySystem {
             // simlint::allow(P001): the whole run was bounds-checked by
             // `service_paced_span`, so every beat address decodes.
             let loc = map.decode(addr).expect("in-bounds beat");
-            if at.max(self.controllers[loc.vault].tsv_free_at()) >= pacing.horizon {
+            let tsv_free = self.controllers[loc.vault].tsv_free_at();
+            if at.max(tsv_free) >= pacing.horizon
+                && !lease
+                    .as_mut()
+                    .is_some_and(|l| l.take(loc.vault, run.op.bytes, at, tsv_free))
+            {
                 break;
             }
             served += 1;
@@ -1005,6 +1018,7 @@ impl MemorySystem {
             t_kernel_fs: t_fs,
             last_done,
             probe_done,
+            leased: picks_used(pacing.lease, lease),
         }
     }
 
@@ -1044,6 +1058,7 @@ impl MemorySystem {
 mod tests {
     use super::*;
     use crate::Location;
+    use crate::VaultLease;
 
     fn sys() -> MemorySystem {
         MemorySystem::new(Geometry::default(), TimingParams::default())
@@ -1064,20 +1079,22 @@ mod tests {
     /// The driver's scalar loop under `pacing` over every beat of
     /// `train`, run after run: one `service_burst` per beat, stopping
     /// before the first beat whose grant (`max(arrival, tsv_free_at)` on
-    /// its vault) reaches the horizon. Also returns each served beat's
-    /// grant.
+    /// its vault) reaches the horizon and which the lease does not
+    /// cover. Also returns each served beat's vault, arrival and grant.
     fn scalar_span(
         m: &mut MemorySystem,
         kind: AddressMapKind,
         train: TraceTrain,
         pacing: &RunPacing,
-    ) -> (RunServed, Vec<Picos>) {
+    ) -> (RunServed, Vec<(usize, Picos, Picos)>) {
         let mut grants = Vec::new();
+        let mut lease = pacing.lease;
         let mut served = RunServed {
             beats: 0,
             t_kernel_fs: pacing.t_kernel_fs,
             last_done: Picos::ZERO,
             probe_done: None,
+            leased: 0,
         };
         let run = train.run;
         let beats = (0..=u64::from(train.repeats)).flat_map(|r| {
@@ -1088,11 +1105,16 @@ mod tests {
             let t_fs = served.t_kernel_fs;
             let at = Picos::from_fs_clock(t_fs.saturating_sub(pacing.window_fs)).max(pacing.floor);
             let vault = m.vault_of(kind, op.addr).unwrap();
-            let grant = at.max(m.controller(vault).tsv_free_at());
-            if grant >= pacing.horizon {
+            let tsv_free = m.controller(vault).tsv_free_at();
+            let grant = at.max(tsv_free);
+            if grant >= pacing.horizon
+                && !lease
+                    .as_mut()
+                    .is_some_and(|l| l.take(vault, op.bytes, at, tsv_free))
+            {
                 break;
             }
-            grants.push(grant);
+            grants.push((vault, at, grant));
             let out = m.service_burst(kind, op, at).unwrap();
             served.beats += 1;
             served.t_kernel_fs = t_fs.max(out.done.as_ps() as u128 * FS_PER_PS) + pacing.op_fs;
@@ -1101,6 +1123,7 @@ mod tests {
                 served.probe_done = Some(out.done);
             }
         }
+        served.leased = picks_used(pacing.lease, lease);
         (served, grants)
     }
 
@@ -1146,6 +1169,7 @@ mod tests {
             t_kernel_fs: pacing.t_kernel_fs,
             last_done: Picos::ZERO,
             probe_done: None,
+            leased: 0,
         };
         while pos + u64::from(acc.beats) < total {
             let rest = train_at(train, pos + u64::from(acc.beats));
@@ -1154,6 +1178,7 @@ mod tests {
                 probe_beat: pacing
                     .probe_beat
                     .and_then(|b| b.checked_sub(acc.beats as u64)),
+                lease: pacing.lease.map(|l| l.after(acc.leased)),
                 ..*pacing
             };
             let got = match m.service_paced_span(kind, rest, &p) {
@@ -1174,6 +1199,7 @@ mod tests {
             };
             assert!(got.beats > 0, "an unbounded horizon always serves");
             acc.beats += got.beats;
+            acc.leased += got.leased;
             acc.t_kernel_fs = got.t_kernel_fs;
             acc.last_done = acc.last_done.max(got.last_done);
             acc.probe_done = acc.probe_done.or(got.probe_done);
@@ -1203,6 +1229,7 @@ mod tests {
             floor: Picos::ZERO,
             probe_beat: None,
             horizon: Picos::MAX,
+            lease: None,
         };
         // Structurally unfusable shapes gate the probe off: zero-byte
         // beats, single beats, beats crossing a row boundary, strides
@@ -1283,6 +1310,7 @@ mod tests {
                 floor: Picos(100),
                 probe_beat: Some(7),
                 horizon: Picos::MAX,
+                lease: None,
             };
             let outcome = fused.service_paced_span(kind, run.into(), &pacing);
             let SpanOutcome::Served(served) = outcome else {
@@ -1343,6 +1371,7 @@ mod tests {
                 floor: Picos(rng.gen_range(0u64..1 << 16)),
                 probe_beat: rng.gen_bool().then(|| rng.gen_range(0u64..run.beats as u64)),
                 horizon: Picos::MAX,
+                lease: None,
             };
             // Random prior traffic, identical on every twin.
             let mut base = MemorySystem::new(geom, timing);
@@ -1360,7 +1389,7 @@ mod tests {
             // Cut exactly at, just past or just before some beat's
             // grant on the uncut schedule, or anywhere in the span.
             let grants = scalar_span(&mut base, kind, run.into(), &pacing).1;
-            let g = grants[rng.gen_range(0..grants.len())];
+            let g = grants[rng.gen_range(0..grants.len())].2;
             let horizon = match rng.gen_range(0usize..4) {
                 0 => g,
                 1 => g + Picos(1),
@@ -1395,6 +1424,7 @@ mod tests {
                     t_kernel_fs: head.t_kernel_fs,
                     last_done: Picos::ZERO,
                     probe_done: None,
+                    leased: 0,
                 }
             } else {
                 let rest_pacing = RunPacing {
@@ -1435,6 +1465,7 @@ mod tests {
             floor: Picos::ZERO,
             probe_beat: None,
             horizon: Picos::MAX,
+            lease: None,
         }
     }
 
@@ -1602,6 +1633,7 @@ mod tests {
                 floor: Picos(rng.gen_range(0u64..1 << 16)),
                 probe_beat: rng.gen_bool().then(|| rng.gen_range(0..total)),
                 horizon: Picos::MAX,
+                lease: None,
             };
             // Random prior traffic, identical on every twin.
             let mut base = MemorySystem::new(geom, TimingParams::default());
@@ -1621,7 +1653,7 @@ mod tests {
             // beats before the horizon, and resuming gives the uncut
             // result.
             let grants = scalar_span(&mut base.clone(), kind, train, &pacing).1;
-            let g = grants[rng.gen_range(grants.len() / 2..grants.len())];
+            let g = grants[rng.gen_range(grants.len() / 2..grants.len())].2;
             let horizon = match rng.gen_range(0usize..4) {
                 0 => g,
                 1 => g + Picos(1),
@@ -1652,6 +1684,70 @@ mod tests {
             prop_assert_eq!(head.last_done.max(tail.last_done), uncut.last_done);
             prop_assert_eq!(head.probe_done.or(tail.probe_done), uncut.probe_done);
             prop_assert_eq!(format!("{cut:?}"), format!("{whole:?}"), "device state after resuming");
+        });
+    }
+
+    #[test]
+    fn leased_trains_match_scalar_beats() {
+        // Per-beat and same-bank trains whose horizon admits at most the
+        // first few beats, the rest left to a lease on one vault whose
+        // picks, ready bound and horizon sit at, or one off, a late
+        // beat's — or do not bind. One call serves exactly the scalar
+        // beats the horizon or the lease admits, with the same device
+        // state.
+        use sim_util::{prop_assert, prop_assert_eq, prop_check};
+        prop_check!(cases: 64, |rng| {
+            let geom = Geometry::default();
+            let row = geom.row_bytes as u64;
+            let (kind, beats, stride) = match rng.gen_range(0usize..3) {
+                0 => (AddressMapKind::VaultInterleaved, rng.gen_range(16u32..300), row),
+                1 => (AddressMapKind::Chunked, rng.gen_range(2u32..200), row >> rng.gen_range(1u32..4)),
+                _ => (AddressMapKind::Chunked, rng.gen_range(2u32..400), row),
+            };
+            let step = 8 * rng.gen_range(1u64..4);
+            let in_row = (stride.min(row) - 8) / step;
+            let train = TraceTrain {
+                run: read_run(0, 8, beats, stride),
+                repeats: rng.gen_range(0u32..20).min(in_row as u32),
+                step,
+            };
+            // A prefetch window well ahead of the link, so most beats
+            // are TSV ties.
+            let mut pacing = RunPacing {
+                t_kernel_fs: rng.gen_range(0u64..1 << 30) as u128,
+                window_fs: rng.gen_range(1u64 << 20..1 << 34) as u128,
+                op_fs: rng.gen_range(0u64..1 << 24) as u128,
+                floor: Picos::ZERO,
+                probe_beat: None,
+                horizon: Picos::MAX,
+                lease: None,
+            };
+            let base = MemorySystem::new(geom, TimingParams::default());
+            let beats_at = scalar_span(&mut base.clone(), kind, train, &pacing).1;
+            let near = |rng: &mut sim_util::SimRng, t: u64| match rng.gen_range(0usize..4) {
+                0 => t,
+                1 => t + 1,
+                2 => t.saturating_sub(1),
+                _ => u64::MAX,
+            };
+            let late = rng.gen_range(beats_at.len() / 2..beats_at.len());
+            let (vault, at, grant) = beats_at[late];
+            pacing.horizon = beats_at[rng.gen_range(0..beats_at.len().min(4))].2;
+            pacing.lease = Some(VaultLease {
+                vault,
+                bytes: 8,
+                picks: u32::try_from(near(rng, late as u64)).unwrap_or(u32::MAX),
+                ready_by: Picos(near(rng, at.as_ps())),
+                horizon: Picos(near(rng, grant.as_ps())),
+            });
+            let (mut fused, mut scalar) = (base.clone(), base.clone());
+            let outcome = fused.service_paced_span(kind, train, &pacing);
+            let expect = scalar_span(&mut scalar, kind, train, &pacing).0;
+            match outcome {
+                SpanOutcome::Served(got) => prop_assert_eq!(got, expect),
+                _ => prop_assert!(false, "{train:?} must fuse, got {outcome:?}"),
+            }
+            prop_assert_eq!(format!("{fused:?}"), format!("{scalar:?}"), "device state");
         });
     }
 

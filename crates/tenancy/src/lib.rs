@@ -49,7 +49,9 @@ mod service;
 mod spec;
 mod traffic;
 
-pub use arbiter::{Arbiter, ArbiterKind, Contender, DeficitWeighted, RoundRobin, StrictPriority};
+pub use arbiter::{
+    Arbiter, ArbiterKind, Contender, DeficitWeighted, Lease, RoundRobin, StrictPriority,
+};
 pub use error::{AdmissionCounts, TenancyError};
 pub use offset::OffsetSource;
 pub use qos::{percentile, JobRecord, ServiceReport, TenantQos};

@@ -26,13 +26,28 @@
 //! (deficit credits included) is untouched. The reports are
 //! byte-identical to granting one beat per iteration.
 //!
+//! A **contended** winner goes on past the horizon under a **lease**
+//! ([`Arbiter::lease`](crate::Arbiter::lease)): the number of further
+//! picks it would win in a row against the same contenders, and a bound
+//! on its ready time. A leased beat ([`mem3d::VaultLease`]) targets the
+//! contended vault, moves the winning beat's bytes, arrives by the ready
+//! bound, and is a TSV tie — it arrives no later than the link frees, so
+//! every loser is still ready at its grant and the one-beat loop would
+//! have asked the arbiter again, with the same slice but for the
+//! winner's `ready`. Its grant must also be strictly before every event
+//! outside the contender set: arrivals, admissions, and the grants of
+//! phases on other vaults or not yet ready on this one. The winner then
+//! wins exactly as the lease promised, and [`Arbiter::commit`](crate::Arbiter::commit)
+//! records the picks used. Leased beats run through the same fused span
+//! loops as unopposed ones, steady-state jump included.
+//!
 //! Everything here is on the service path: no panicking constructs
 //! (simlint rule P001).
 
 use std::collections::VecDeque;
 
-use fft2d::{PhaseWorkspace, ResumablePhase};
-use mem3d::{MemorySystem, Picos};
+use fft2d::{PhaseWorkspace, ResumablePhase, StepLimit};
+use mem3d::{MemorySystem, Picos, VaultLease};
 use sim_exec::{par_map, CancelToken, ExecConfig, JobError};
 use sim_util::SimRng;
 
@@ -40,6 +55,14 @@ use crate::{
     book::SpecBook, percentile, traffic::ArrivalSource, AdmissionCounts, ArbiterKind, Contender,
     JobRecord, Scenario, ServiceReport, TenancyError, TenantQos,
 };
+
+#[cfg(test)]
+thread_local! {
+    /// Service-loop iterations and arbitration picks (asked or leased)
+    /// on this thread, so tests can prove streaks are served in a few
+    /// iterations.
+    static LOOP_COUNTS: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
+}
 
 /// A job currently holding a run slot.
 struct Running<'b> {
@@ -235,6 +258,8 @@ fn run_shared(
     let mut heads: Vec<Option<Head>> = Vec::new();
 
     loop {
+        #[cfg(test)]
+        LOOP_COUNTS.with(|n| n.set((n.get().0 + 1, n.get().1)));
         if cancel.is_some_and(|c| c.is_cancelled()) {
             for r in &running {
                 bump(&mut counts, r.tenant, |c| c.cancelled += 1);
@@ -448,28 +473,61 @@ fn run_shared(
                     });
                     owners.push(i);
                 }
+                let mut won = None;
                 let winner = if contenders.len() <= 1 {
                     ri
                 } else {
                     let k = arbiter.pick(vault, &contenders);
-                    owners.get(k).copied().unwrap_or(ri)
+                    #[cfg(test)]
+                    LOOP_COUNTS.with(|n| n.set((n.get().0, n.get().1 + 1)));
+                    match owners.get(k) {
+                        Some(&w) => {
+                            won = Some(k);
+                            w
+                        }
+                        None => ri,
+                    }
                 };
                 // The winner runs unopposed until the next competing
                 // event: an arrival, an admission, or any other
-                // phase's grant (see the module docs for why this is
+                // phase's grant — and on through its winning streak
+                // against the same contenders, up to the first event
+                // outside them (see the module docs for why this is
                 // exact).
-                let mut horizon = Picos::ZERO;
+                let mut limit = StepLimit::from(Picos::ZERO);
                 if fuse {
-                    horizon = arrival.map_or(Picos::MAX, |a| a.0);
-                    horizon = horizon.min(admit.map_or(Picos::MAX, |a| a.0));
+                    let mut outside = arrival.map_or(Picos::MAX, |a| a.0);
+                    outside = outside.min(admit.map_or(Picos::MAX, |a| a.0));
+                    limit.horizon = outside;
                     for (i, h) in heads.iter().enumerate() {
                         if let Some(h) = h.filter(|_| i != winner) {
-                            horizon = horizon.min(h.grant);
+                            limit.horizon = limit.horizon.min(h.grant);
+                            if h.vault != vault || h.arrive > grant {
+                                outside = outside.min(h.grant);
+                            }
                         }
                     }
+                    limit.lease = won
+                        .map(|k| arbiter.lease(vault, &contenders, k))
+                        .filter(|l| l.picks > 0)
+                        .zip(heads.get(winner).copied().flatten())
+                        .map(|(l, h)| VaultLease {
+                            vault,
+                            bytes: h.bytes,
+                            picks: l.picks,
+                            ready_by: l.ready_by,
+                            horizon: outside,
+                        });
                 }
                 if let Some(r) = running.get_mut(winner) {
-                    r.phase.step_until(&mut mem, horizon)?;
+                    r.phase.step_until(&mut mem, limit)?;
+                    if let Some(k) = won.filter(|_| limit.lease.is_some()) {
+                        arbiter.commit(vault, &contenders, k, r.phase.leased_picks());
+                        #[cfg(test)]
+                        LOOP_COUNTS.with(|n| {
+                            n.set((n.get().0, n.get().1 + u64::from(r.phase.leased_picks())))
+                        });
+                    }
                 }
             }
         }
@@ -665,29 +723,270 @@ mod tests {
         s
     }
 
-    #[test]
-    fn fused_service_matches_the_beat_at_a_time_loop() {
-        use sim_util::{prop_assert, prop_assert_eq, prop_check};
-        prop_check!(cases: 24, |rng| {
-            let s = random_scenario(rng);
-            let book = SpecBook::build(&s.platform, &s.tenants).unwrap();
-            let isolated = (0..s.tenants.len())
-                .map(|t| isolated_latency(&book, &s, t).unwrap())
-                .collect::<Vec<_>>();
-            for kind in ArbiterKind::ALL {
-                let fused = run_shared(&s, &book, kind, None, &isolated, true);
-                let beatwise = run_shared(&s, &book, kind, None, &isolated, false);
-                match (fused, beatwise) {
-                    (Ok(a), Ok(b)) => {
-                        prop_assert_eq!(a.to_json(), b.to_json(), "{}", kind.name())
+    /// Two or three tenants contending for the vaults their arenas
+    /// share, on a platform whose kernel rate and prefetch window are
+    /// drawn too, so winning streaks start and end every way a lease
+    /// can end: out of picks, past the ready bound, on a kernel-bound
+    /// beat (no TSV tie), or at another phase's grant.
+    fn streak_scenario(rng: &mut SimRng) -> Scenario {
+        let tenants = (0..rng.gen_range(2usize..4))
+            .map(|i| {
+                let job = JobSpec {
+                    arch: Architecture::ALL[rng.gen_range(0usize..3)],
+                    n: [32, 64, 128][rng.gen_range(0usize..3)],
+                    shape: if rng.gen_range(0usize..3) == 0 {
+                        JobShape::App
+                    } else {
+                        JobShape::Column
+                    },
+                };
+                let traffic = if rng.gen_bool() {
+                    Traffic::Open {
+                        arrivals: Arrivals::Immediate,
+                        jobs: rng.gen_range(1u64..3),
                     }
-                    (a, b) => {
-                        let (a, b) = (a.err(), b.err());
-                        prop_assert!(false, "{}: {:?} vs {:?}", kind.name(), a, b)
+                } else {
+                    Traffic::Open {
+                        arrivals: Arrivals::Uniform {
+                            lo: Picos::ZERO,
+                            hi: Picos(rng.gen_range(1u64..2_000_000)),
+                        },
+                        jobs: rng.gen_range(1u64..3),
                     }
+                };
+                TenantSpec {
+                    priority: rng.gen_range(0u8..2),
+                    weight: rng.gen_range(1u64..3),
+                    ..TenantSpec::new(&format!("t{i}"), job, traffic)
+                }
+            })
+            .collect();
+        let mut s = Scenario::new(tenants, rng.next_u64());
+        s.platform.lanes = [1, 2, 8, 16][rng.gen_range(0usize..4)];
+        s.platform.window_bytes = [1 << 9, 1 << 12, 1 << 15, 1 << 18][rng.gen_range(0usize..4)];
+        s.admission.max_running = rng.gen_range(2usize..4);
+        s.admission.queue_depth = 8;
+        s
+    }
+
+    /// The fused service against the beat-at-a-time loop, byte for byte,
+    /// under every policy.
+    fn assert_fused_matches_beatwise(s: &Scenario) -> Result<(), String> {
+        use sim_util::{prop_assert, prop_assert_eq};
+        let book = SpecBook::build(&s.platform, &s.tenants).unwrap();
+        let isolated = (0..s.tenants.len())
+            .map(|t| isolated_latency(&book, s, t).unwrap())
+            .collect::<Vec<_>>();
+        for kind in ArbiterKind::ALL {
+            let fused = run_shared(s, &book, kind, None, &isolated, true);
+            let beatwise = run_shared(s, &book, kind, None, &isolated, false);
+            match (fused, beatwise) {
+                (Ok(a), Ok(b)) => prop_assert_eq!(a.to_json(), b.to_json(), "{}", kind.name()),
+                (a, b) => {
+                    let (a, b) = (a.err(), b.err());
+                    prop_assert!(false, "{}: {:?} vs {:?}", kind.name(), a, b)
                 }
             }
+        }
+        Ok(())
+    }
+
+    /// A tenant whose `jobs` jobs all arrive `first` after time zero.
+    fn arriving(
+        arch: Architecture,
+        n: usize,
+        shape: JobShape,
+        first: Picos,
+        jobs: u64,
+    ) -> TenantSpec {
+        let arrivals = if first == Picos::ZERO {
+            Arrivals::Immediate
+        } else {
+            Arrivals::Periodic {
+                period: first,
+                jitter: Picos::ZERO,
+            }
+        };
+        TenantSpec::new("t", spec(arch, n, shape), Traffic::Open { arrivals, jobs })
+    }
+
+    /// A scenario on a platform with `lanes` kernel lanes and a
+    /// `window`-byte prefetch window.
+    fn platform_scenario(tenants: Vec<TenantSpec>, lanes: usize, window: u64) -> Scenario {
+        let mut s = Scenario::new(tenants, 1);
+        s.platform.lanes = lanes;
+        s.platform.window_bytes = window;
+        s
+    }
+
+    #[test]
+    fn equal_priority_streak_ending_on_a_ready_tie_matches_beatwise() {
+        // Two baseline column jobs at equal priority on vault 0, the
+        // later one winning on its earlier ready times until it reaches
+        // the other's ready — where the tie goes to the lower tenant.
+        // A strict-priority lease one pick too long serves a beat the
+        // tie-break gives away.
+        let s = platform_scenario(
+            vec![
+                TenantSpec {
+                    priority: 1,
+                    weight: 2,
+                    ..arriving(
+                        Architecture::Baseline,
+                        64,
+                        JobShape::Column,
+                        Picos(1_000_000),
+                        1,
+                    )
+                },
+                TenantSpec {
+                    priority: 1,
+                    weight: 2,
+                    ..arriving(
+                        Architecture::Baseline,
+                        32,
+                        JobShape::Column,
+                        Picos(100_000),
+                        1,
+                    )
+                },
+            ],
+            1,
+            512,
+        );
+        assert_fused_matches_beatwise(&s).unwrap();
+    }
+
+    #[test]
+    fn kernel_bound_winner_mid_streak_matches_beatwise() {
+        // A slow two-lane kernel behind a 512-byte window: the winner's
+        // arrivals overtake the link mid-streak, and from that beat on
+        // the loser, ready at the link's free time, is granted first.
+        // The same scenario has a tenant with two jobs running at once,
+        // and the third phase's grants fall inside their round-robin
+        // streaks.
+        let s = platform_scenario(
+            vec![
+                TenantSpec {
+                    weight: 2,
+                    ..arriving(
+                        Architecture::Baseline,
+                        32,
+                        JobShape::Column,
+                        Picos(100_000),
+                        2,
+                    )
+                },
+                TenantSpec {
+                    priority: 1,
+                    ..arriving(Architecture::Baseline, 128, JobShape::App, Picos::ZERO, 1)
+                },
+            ],
+            2,
+            512,
+        );
+        assert_fused_matches_beatwise(&s).unwrap();
+    }
+
+    #[test]
+    fn third_phase_granted_inside_a_streak_matches_beatwise() {
+        // Two jobs of one tenant share vault 0 — under round robin the
+        // lower job's streak is unlimited — while other tenants' phases
+        // run beside them: each streak must end at the first grant of a
+        // phase outside the contender set.
+        let s = platform_scenario(
+            vec![
+                arriving(
+                    Architecture::Optimized,
+                    64,
+                    JobShape::App,
+                    Picos(1_000_000),
+                    1,
+                ),
+                arriving(
+                    Architecture::Baseline,
+                    128,
+                    JobShape::App,
+                    Picos(1_000_000),
+                    2,
+                ),
+                TenantSpec {
+                    weight: 2,
+                    ..arriving(
+                        Architecture::Optimized,
+                        128,
+                        JobShape::Column,
+                        Picos(1_000_000),
+                        1,
+                    )
+                },
+            ],
+            1,
+            32 * 1024,
+        );
+        assert_fused_matches_beatwise(&s).unwrap();
+    }
+
+    #[test]
+    fn leased_streaks_match_the_beat_at_a_time_loop() {
+        sim_util::prop_check!(cases: 24, |rng| {
+            assert_fused_matches_beatwise(&streak_scenario(rng))?;
         });
+    }
+
+    #[test]
+    fn fused_service_matches_the_beat_at_a_time_loop() {
+        sim_util::prop_check!(cases: 24, |rng| {
+            assert_fused_matches_beatwise(&random_scenario(rng))?;
+        });
+    }
+
+    #[test]
+    fn streaks_take_far_fewer_iterations_than_picks() {
+        // The shape of the benchmark's contended vault: an N = 256
+        // baseline column job beside a reorganizing column job, both on
+        // vault 0 — the baseline winning long streaks of 8-byte beats.
+        let s = platform_scenario(
+            vec![
+                arriving(
+                    Architecture::Baseline,
+                    256,
+                    JobShape::Column,
+                    Picos::ZERO,
+                    1,
+                ),
+                TenantSpec {
+                    weight: 2,
+                    ..arriving(
+                        Architecture::Optimized,
+                        256,
+                        JobShape::Column,
+                        Picos(200_000),
+                        1,
+                    )
+                },
+            ],
+            8,
+            256 * 1024,
+        );
+        let book = SpecBook::build(&s.platform, &s.tenants).unwrap();
+        let isolated = [Picos::ZERO; 2];
+        let counted = |kind, fuse| {
+            LOOP_COUNTS.with(|n| n.set((0, 0)));
+            let rep = run_shared(&s, &book, kind, None, &isolated, fuse).unwrap();
+            (rep.to_json(), LOOP_COUNTS.with(|n| n.get()))
+        };
+        for kind in [ArbiterKind::StrictPriority, ArbiterKind::DeficitWeighted] {
+            let (fused, (iterations, picks)) = counted(kind, true);
+            let (beatwise, (_, beatwise_picks)) = counted(kind, false);
+            assert_eq!(fused, beatwise, "{}", kind.name());
+            assert_eq!(picks, beatwise_picks, "{}: leased picks", kind.name());
+            assert!(
+                picks > 1000 && iterations * 20 < picks,
+                "{}: {iterations} iterations for {picks} picks",
+                kind.name()
+            );
+        }
     }
 
     #[test]
