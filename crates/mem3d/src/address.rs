@@ -43,7 +43,8 @@ pub enum AddressMapKind {
 }
 
 impl AddressMapKind {
-    /// Every interleaving policy, in [`index`](Self::index) order.
+    /// Every interleaving policy, in the order the device caches its
+    /// maps.
     pub const ALL: [AddressMapKind; 3] = [
         AddressMapKind::Chunked,
         AddressMapKind::RowInterleaved,

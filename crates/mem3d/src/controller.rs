@@ -10,9 +10,10 @@ use crate::{
 const FS_PER_PS: u128 = 1_000;
 
 /// The closed-loop driver's pacing law for one run of requests, captured
-/// so [`VaultController::service_paced_run`] can advance the kernel
-/// consumption clock with **exactly** the driver's per-request integer
-/// arithmetic: beat arrivals are
+/// so the fused loops of
+/// [`MemorySystem::service_paced_span`](crate::MemorySystem::service_paced_span)
+/// can advance the kernel consumption clock with **exactly** the
+/// driver's per-request integer arithmetic: beat arrivals are
 /// `max(floor, (t_kernel_fs − window_fs) / 1000 ps)`, and after each
 /// beat `t_kernel_fs = max(t_kernel_fs, done·1000) + op_fs`.
 ///
@@ -298,7 +299,7 @@ impl VaultController {
     /// spills past the end of its row.
     // simlint::entry(service_path)
     // simlint::entry(hot_path)
-    pub fn service(&mut self, req: Request) -> RequestOutcome {
+    pub(crate) fn service(&mut self, req: Request) -> RequestOutcome {
         debug_assert_eq!(req.loc.vault, self.vault, "request routed to wrong vault");
         debug_assert!(
             req.loc.col as u64 + req.bytes as u64 <= self.geom.row_bytes as u64,
@@ -356,83 +357,6 @@ impl VaultController {
         outcome
     }
 
-    /// Schedules a run of `beats` back-to-back accesses of `first.bytes`
-    /// each: beat *i* targets column `first.loc.col + i·bytes` of the
-    /// same row, all arriving at `first.at`.
-    ///
-    /// Exactly equivalent — in outcomes, statistics and controller
-    /// state — to calling [`service`](Self::service) once per beat, but
-    /// a TSV-bound run (`bytes · tsv_ps_per_byte ≥ t_in_row`, no refresh
-    /// modelling) resolves in closed form: after the first beat, every
-    /// later beat is a row hit whose column command issues `t_in_row`
-    /// after the previous one and whose transfer starts the moment the
-    /// link frees, so beat *i* completes at `done₀ + i·transfer`. One
-    /// scheduling pass replaces `beats` round trips. Runs that are not
-    /// TSV-bound (or with refresh enabled) fall back to the scalar loop.
-    ///
-    /// Returns the first beat's `data_start` and `row_hit` with the last
-    /// beat's `done`.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug assertions) if `beats` is zero or the run spills
-    /// past the end of its row; [`crate::MemorySystem`] guarantees both.
-    pub fn service_run(&mut self, first: Request, beats: u32) -> RequestOutcome {
-        debug_assert!(beats >= 1, "empty run");
-        debug_assert!(
-            first.loc.col as u64 + beats as u64 * first.bytes as u64 <= self.geom.row_bytes as u64,
-            "run crosses a row boundary"
-        );
-        let out0 = self.service(first);
-        if beats == 1 {
-            return out0;
-        }
-        let t = self.timing;
-        let transfer = t.tsv_ps_per_byte * first.bytes as u64;
-        if t.refresh_enabled() || transfer < t.t_in_row {
-            // Not TSV-bound (or refresh windows may interleave): the
-            // closed form below would not be exact, so take the scalar
-            // loop.
-            let mut done = out0.done;
-            for i in 1..beats {
-                let frag = Request {
-                    loc: crate::Location {
-                        col: first.loc.col + i * first.bytes,
-                        ..first.loc
-                    },
-                    ..first
-                };
-                done = self.service(frag).done;
-            }
-            return RequestOutcome { done, ..out0 };
-        }
-        // Closed form. After beat 0 the row is open and every later beat
-        // is a hit: col_start_i = col_start_0 + i·t_in_row, and because
-        // transfer ≥ t_in_row the data is always ready by the time the
-        // link frees, so bus_start_i = done_{i-1} and
-        // done_i = done_0 + i·transfer. Only the bank's last column
-        // command time, the link horizon and the counters change.
-        let extra = (beats - 1) as u64;
-        let bank_idx = first.loc.bank_in_vault(&self.geom);
-        let col_start_0 = self.banks[bank_idx]
-            .last_column
-            // simlint::allow(P001): beat 0 went through `service` above,
-            // which unconditionally issues a column command on this bank,
-            // so `last_column` is always `Some` here.
-            .expect("beat 0 issued a column command");
-        self.banks[bank_idx].last_column = Some(col_start_0 + t.t_in_row * extra);
-        let done = out0.done + transfer * extra;
-        self.tsv_free_at = done;
-        self.stats
-            .record_hit_run(first.at, out0.done, transfer, extra);
-        self.stats.row_hits += extra;
-        match first.dir {
-            Direction::Read => self.stats.bytes_read += extra * first.bytes as u64,
-            Direction::Write => self.stats.bytes_written += extra * first.bytes as u64,
-        }
-        RequestOutcome { done, ..out0 }
-    }
-
     /// Schedules a **paced strided run**: `beats` accesses of `bytes`
     /// each, beat *i* targeting row `loc.row + i·row_step` of the same
     /// bank at column `loc.col`, with each beat's arrival time derived
@@ -487,7 +411,7 @@ impl VaultController {
     ///
     /// The caller ([`crate::MemorySystem::service_paced_span`])
     /// guarantees the preconditions; they are debug-asserted here.
-    pub fn service_paced_run(
+    pub(crate) fn service_paced_run(
         &mut self,
         loc: Location,
         bytes: u32,
@@ -876,95 +800,6 @@ mod tests {
         // tRFC/tREFI ≈ 4.5%: the slowdown stays single-digit percent.
         let ratio = refreshed.as_ps() as f64 / plain.as_ps() as f64;
         assert!(ratio < 1.10, "got slowdown {ratio}");
-    }
-
-    /// `service_run` must equal the scalar beat-by-beat loop in the
-    /// returned outcome, the statistics and all subsequent scheduling
-    /// behaviour (probed with one more request after the run).
-    fn assert_run_matches_scalar(mut c: VaultController, first: Request, beats: u32) {
-        let mut scalar = c.clone();
-        let run_out = c.service_run(first, beats);
-        let mut first_out = None;
-        let mut last = None;
-        for i in 0..beats {
-            let frag = Request {
-                loc: Location {
-                    col: first.loc.col + i * first.bytes,
-                    ..first.loc
-                },
-                ..first
-            };
-            let o = scalar.service(frag);
-            first_out.get_or_insert(o);
-            last = Some(o);
-        }
-        let first_out = first_out.unwrap();
-        assert_eq!(run_out.data_start, first_out.data_start);
-        assert_eq!(run_out.row_hit, first_out.row_hit);
-        assert_eq!(run_out.done, last.unwrap().done);
-        assert_eq!(c.stats(), scalar.stats());
-        // The controller state must be indistinguishable afterwards:
-        // a probe request (same row, then a conflicting row) schedules
-        // identically on both.
-        for probe_loc in [
-            Location {
-                col: 0,
-                ..first.loc
-            },
-            Location {
-                row: first.loc.row + 1,
-                col: 0,
-                ..first.loc
-            },
-        ] {
-            let probe = Request {
-                loc: probe_loc,
-                bytes: 64,
-                ..first
-            };
-            assert_eq!(c.service(probe), scalar.service(probe));
-        }
-        assert_eq!(c.stats(), scalar.stats());
-    }
-
-    #[test]
-    fn tsv_bound_run_resolves_in_closed_form_identically() {
-        // 8-byte beats: transfer = 1.6 ns ≥ t_in_row = 0.8 ns.
-        assert_run_matches_scalar(ctl(), Request::read(loc(0, 0, 0, 0), 8), 64);
-        // From a non-zero column, arriving late, as writes.
-        assert_run_matches_scalar(
-            ctl(),
-            Request::write(loc(1, 2, 5, 256), 16).arriving_at(Picos(123_456)),
-            17,
-        );
-        // Onto an already-open row (beat 0 is a hit).
-        let mut c = ctl();
-        c.service(Request::read(loc(0, 0, 7, 0), 8));
-        assert_run_matches_scalar(c, Request::read(loc(0, 0, 7, 64), 8), 9);
-        // Single-beat run degenerates to plain service.
-        assert_run_matches_scalar(ctl(), Request::read(loc(0, 0, 0, 0), 8), 1);
-    }
-
-    #[test]
-    fn command_bound_run_falls_back_to_scalar_loop() {
-        // 1-byte beats: transfer = 200 ps < t_in_row = 800 ps, so the
-        // column-command rate, not the link, paces the run.
-        assert_run_matches_scalar(ctl(), Request::read(loc(0, 0, 0, 0), 1), 50);
-    }
-
-    #[test]
-    fn refreshing_run_falls_back_to_scalar_loop() {
-        let c = VaultController::new(
-            0,
-            Geometry::default(),
-            TimingParams::default().with_refresh(),
-        );
-        // Arrivals near a refresh window would break the closed form.
-        assert_run_matches_scalar(
-            c,
-            Request::read(loc(0, 0, 0, 0), 8).arriving_at(Picos(7_799_000)),
-            64,
-        );
     }
 
     /// The driver's scalar loop over a paced strided run: one

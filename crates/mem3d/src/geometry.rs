@@ -48,8 +48,9 @@ impl Geometry {
         self.capacity_bytes() / self.vaults as u64
     }
 
-    /// Validates that every dimension is non-zero and that `row_bytes` is
-    /// a power of two (required by the address decomposition).
+    /// Validates that every dimension is non-zero, that `row_bytes` is
+    /// a power of two (required by the address decomposition) and that
+    /// the capacity in bytes fits a `u64` (flat addresses are `u64`).
     ///
     /// # Errors
     ///
@@ -73,6 +74,14 @@ impl Geometry {
                 "row_bytes must be a power of two, got {}",
                 self.row_bytes
             )));
+        }
+        let capacity = dims
+            .iter()
+            .try_fold(1u64, |acc, &(_, v)| acc.checked_mul(v as u64));
+        if capacity.is_none() {
+            return Err(Error::InvalidGeometry(
+                "capacity in bytes overflows u64".into(),
+            ));
         }
         Ok(())
     }

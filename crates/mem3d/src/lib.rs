@@ -34,9 +34,13 @@
 //!
 //! # The request-servicing fast path
 //!
-//! Simulation wall clock is dominated by tens of millions of small
-//! requests, so the hot path is engineered around three ideas, each with
-//! a bit-identical scalar reference kept alongside it:
+//! The device has exactly two request-serving entries:
+//! [`MemorySystem::service_burst`] serves one burst, and
+//! [`MemorySystem::service_paced_span`] serves a whole strided run or
+//! train under the phase driver's pacing law. Simulation wall clock is
+//! dominated by tens of millions of small requests, so both are
+//! engineered around the ideas below, each with a bit-identical scalar
+//! reference kept alongside it:
 //!
 //! * **shift/mask address maps** — [`AddressMap`] precomputes a
 //!   shift/mask decoder for power-of-two geometries and keeps the
@@ -45,9 +49,6 @@
 //!   [`AddressMapKind`] and [`MemorySystem::service_burst`] decodes a
 //!   burst's start once, walking row fragments with incremental
 //!   location arithmetic ([`AddressMap::next_row_location`]);
-//! * **closed-form row streaming** — a TSV-bound run of same-row beats
-//!   resolves in one formula ([`VaultController::service_run`]) instead
-//!   of one scheduler round trip per beat;
 //! * **paced strided-run streaming** — the driver hands a whole strided
 //!   run ([`TraceRun`], from [`RequestSource::next_run`]) plus its
 //!   kernel-clock pacing law ([`RunPacing`]) to
@@ -88,15 +89,15 @@
 //! # Example
 //!
 //! ```
-//! use mem3d::{Geometry, MemorySystem, Request, TimingParams};
+//! use mem3d::{AddressMapKind, Direction, Geometry, MemorySystem, Picos, TimingParams, TraceOp};
 //!
 //! let geom = Geometry::default();
 //! let mut mem = MemorySystem::new(geom, TimingParams::default());
 //!
 //! // Stream 1 KiB sequentially through vault 0: row-buffer friendly.
 //! for i in 0..128u64 {
-//!     let loc = mem.geometry().location_of(i * 8).unwrap();
-//!     mem.service(Request::read(loc, 8)).unwrap();
+//!     let op = TraceOp { addr: i * 8, bytes: 8, dir: Direction::Read };
+//!     mem.service_burst(AddressMapKind::Chunked, op, Picos::ZERO).unwrap();
 //! }
 //! let stats = mem.stats();
 //! assert_eq!(stats.bytes_read, 1024);

@@ -84,21 +84,6 @@ impl Stats {
         self.last_beat = self.last_beat.max(out.done);
     }
 
-    /// Folds `extra` additional TSV-bound row-hit beats of one run into
-    /// the counters in closed form: beat *i* (1-based) completes at
-    /// `done0 + i·transfer`, so the latency sum gains an arithmetic
-    /// series. Must stay exactly equivalent to calling
-    /// [`record`](Self::record) once per beat — `first_beat` needs no
-    /// update because later beats start on the link no earlier than the
-    /// already-recorded first beat.
-    pub(crate) fn record_hit_run(&mut self, at: Picos, done0: Picos, transfer: Picos, extra: u64) {
-        self.requests += extra;
-        let base = done0.saturating_sub(at);
-        self.latency_sum += base * extra + transfer * (extra * (extra + 1) / 2);
-        self.latency_max = self.latency_max.max(base + transfer * extra);
-        self.last_beat = self.last_beat.max(done0 + transfer * extra);
-    }
-
     /// Counter-wise difference `self − before` for the monotonic
     /// counters, keeping the interval fields (`latency_max`,
     /// `first_beat`, `last_beat`) from `self` — the shape every

@@ -2,9 +2,9 @@
 
 use crate::controller::{picks_used, VaultClocks};
 use crate::{
-    AddressMap, AddressMapKind, BandwidthReport, BankState, Direction, Error, Geometry, Location,
-    Picos, Request, RequestOutcome, Result, RunPacing, RunServed, Stats, TimingParams, TraceOp,
-    TraceRun, TraceTrain, VaultController,
+    AddressMap, AddressMapKind, BandwidthReport, BankState, Error, Geometry, Picos, Request,
+    RequestOutcome, Result, RunPacing, RunServed, Stats, TimingParams, TraceOp, TraceRun,
+    TraceTrain, VaultController,
 };
 
 /// Femtoseconds per picosecond (the driver's kernel clock runs in
@@ -12,46 +12,55 @@ use crate::{
 const FS_PER_PS: u128 = 1_000;
 
 /// What the skip-ahead span classifier
-/// ([`MemorySystem::service_paced_span`]) decided about a pulled run.
+/// ([`MemorySystem::service_paced_span`]) decided about a pulled run or
+/// train.
 ///
-/// The three variants encode how much of the run the driver should hand
-/// back to its scalar beat loop — in particular,
 /// [`Scalar`](SpanOutcome::Scalar) is the **amortized run-probe gate**:
 /// it tells the driver the run can *never* fuse, so the remainder costs
 /// one branch per beat instead of a failed classification attempt per
 /// beat.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanOutcome {
-    /// A conflict-free span was advanced in one fused pass; the served
-    /// prefix (possibly the whole run) is described by the payload.
+    /// A prefix of the train was served in fused passes, exactly as the
+    /// driver's scalar beat loop would have served it; the payload
+    /// describes the prefix. It may be the whole train, or no beat at
+    /// all when the first beat's grant reaches [`RunPacing::horizon`]
+    /// and [`RunPacing::lease`] does not cover it.
     Served(RunServed),
-    /// Not fusable *at this position* (e.g. the last beat before a bank
-    /// stretch boundary): step exactly one scalar beat, then re-attempt
-    /// classification with the remainder.
+    /// Not fusable *at this position*: the same-bank class proved a
+    /// stretch of one beat (the last row of a bank, or the last beat
+    /// inside the device). Step exactly one scalar beat, then classify
+    /// the remainder again.
     Step,
     /// Structurally ineligible — no position of this run will ever
-    /// fuse (wrong service path, empty beats, beats that split across
-    /// rows or stride slots, strides that neither are whole rows nor
-    /// divide one). Expand the whole
-    /// remainder through the scalar loop without re-probing.
+    /// fuse: the [`Reference`](ServicePath::Reference) path, single-beat
+    /// runs, zero-byte beats, beats that cross a row boundary or
+    /// straddle their stride slot, strides that neither are whole rows
+    /// nor divide one, and per-beat spans that leave the device. Expand
+    /// the whole remainder through the scalar loop without re-probing.
     Scalar,
 }
 
 /// Which request-servicing implementation the system uses.
 ///
 /// [`Fast`](ServicePath::Fast) is the default: cached shift/mask address
-/// maps, decode-once burst walks and closed-form row streaming.
+/// maps, decode-once burst walks in
+/// [`MemorySystem::service_burst`] and the fused span classes of
+/// [`MemorySystem::service_paced_span`].
 /// [`Reference`](ServicePath::Reference) is the original scalar path —
-/// the map is rebuilt per call and every row fragment is decoded with
-/// the div/mod chain — kept as the golden reference the differential
-/// property tests compare against. Both paths are bit-identical in
-/// every observable (outcomes, statistics, controller state).
+/// `service_burst` rebuilds the map per call and decodes every row
+/// fragment with the div/mod chain, and `service_paced_span` answers
+/// [`SpanOutcome::Scalar`], so every beat goes through `service_burst`
+/// — kept as the golden reference the differential property tests
+/// compare against. Both paths are bit-identical in every observable
+/// (outcomes, statistics, controller state).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ServicePath {
-    /// Cached maps + decode-once bursts (the default).
+    /// Cached maps, decode-once bursts and fused spans (the default).
     #[default]
     Fast,
-    /// Per-call map construction + per-fragment div/mod decode.
+    /// Per-call map construction + per-fragment div/mod decode, no
+    /// fusion.
     Reference,
 }
 
@@ -288,17 +297,6 @@ impl MemorySystem {
         Ok(self.maps[map_kind.index()].decode(addr)?.vault)
     }
 
-    /// Chunked-map linearization of a location, used for error reporting
-    /// on the location-addressed API.
-    fn chunked_flat(g: &Geometry, loc: Location) -> u64 {
-        (((loc.vault as u64 * g.layers as u64 + loc.layer as u64) * g.banks_per_layer as u64
-            + loc.bank as u64)
-            * g.rows_per_bank as u64
-            + loc.row as u64)
-            * g.row_bytes as u64
-            + loc.col as u64
-    }
-
     /// Checks that a non-empty `bytes`-long access at `addr` ends inside
     /// the device. An end past `u64::MAX` is out of range too — the sum
     /// must not wrap (or panic in debug builds).
@@ -312,111 +310,30 @@ impl MemorySystem {
         }
     }
 
-    /// Serves one request, splitting it at row boundaries if needed.
-    /// The continuation row is the *next row of the same bank*, so the
-    /// request must fit within its bank.
-    ///
-    /// Returns the outcome of the final fragment; `data_start` is taken
-    /// from the first fragment so latency measurements span the whole
-    /// request.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::OutOfRange`] if the request's location is outside
-    /// the geometry or the request runs past the last row of its bank
-    /// (the reported address is the location's chunked-map
-    /// linearization), and [`Error::BadRequest`] if its length is zero.
-    // simlint::entry(service_path)
-    // simlint::entry(hot_path)
-    pub fn service(&mut self, req: Request) -> Result<RequestOutcome> {
-        if !self.geom.contains(req.loc) {
-            return Err(Error::OutOfRange {
-                addr: Self::chunked_flat(&self.geom, req.loc),
-                capacity: self.capacity,
-            });
-        }
-        if req.bytes == 0 {
-            return Err(Error::BadRequest("zero-length request".into()));
-        }
-        let row_bytes = self.geom.row_bytes;
-        // Reject requests running past the bank's last row up front
-        // (rather than wrapping silently to row 0), so a rejected
-        // request leaves no trace in the statistics.
-        let bank_avail =
-            (self.geom.rows_per_bank - req.loc.row) as u64 * row_bytes as u64 - req.loc.col as u64;
-        if req.bytes as u64 > bank_avail {
-            return Err(Error::OutOfRange {
-                addr: Self::chunked_flat(&self.geom, req.loc) + req.bytes as u64 - 1,
-                capacity: self.capacity,
-            });
-        }
-        let mut remaining = req.bytes as usize;
-        let mut loc = req.loc;
-        // The first fragment is served eagerly (`bytes > 0` was checked
-        // above), so the request-wide `data_start` is captured directly
-        // instead of through an Option.
-        let take = remaining.min(row_bytes - loc.col as usize);
-        let mut out = self.controllers[loc.vault].service(Request {
-            loc,
-            bytes: take as u32,
-            ..req
-        });
-        let data_start = out.data_start;
-        remaining -= take;
-        while remaining > 0 {
-            // Continue in the next row of the same bank (the controller
-            // treats this as a row conflict, as real hardware would).
-            loc = Location {
-                row: loc.row + 1,
-                col: 0,
-                ..loc
-            };
-            let take = remaining.min(row_bytes);
-            out = self.controllers[loc.vault].service(Request {
-                loc,
-                bytes: take as u32,
-                ..req
-            });
-            remaining -= take;
-        }
-        Ok(RequestOutcome { data_start, ..out })
-    }
-
-    /// Serves a request addressed by flat byte address through `map_kind`.
-    ///
-    /// Equivalent to [`service_burst`](Self::service_burst) with the
-    /// fields spelled out.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::OutOfRange`] when the address (plus length) falls
-    /// outside the device.
-    pub fn service_addr(
-        &mut self,
-        map_kind: AddressMapKind,
-        addr: u64,
-        bytes: u32,
-        dir: Direction,
-        at: Picos,
-    ) -> Result<RequestOutcome> {
-        self.service_burst(map_kind, TraceOp { addr, bytes, dir }, at)
-    }
-
     /// Serves one coalesced burst arriving at `at`, addressed by flat
-    /// byte address through `map_kind`.
+    /// byte address through `map_kind` — one of the device's two
+    /// request-serving entries (the other is
+    /// [`service_paced_span`](Self::service_paced_span)). A burst that
+    /// crosses a row boundary is split transparently: the continuation
+    /// is the next row in the map's interleaving order. Returns the
+    /// outcome of the last fragment with the first fragment's
+    /// `data_start`, so latency measurements span the whole burst.
     ///
     /// On the [`Fast`](ServicePath::Fast) path the burst's start
     /// location is decoded **once** against the cached map; row
     /// fragments past the first advance with incremental location
     /// arithmetic ([`AddressMap::next_row_location`]) instead of
     /// re-decoding. The [`Reference`](ServicePath::Reference) path
-    /// rebuilds the map and decodes every fragment, as the original
-    /// implementation did. Both are bit-identical.
+    /// rebuilds the map and decodes every fragment with the div/mod
+    /// chain — the golden oracle. Both are bit-identical.
     ///
     /// # Errors
     ///
     /// Returns [`Error::OutOfRange`] when the address (plus length) falls
-    /// outside the device and [`Error::BadRequest`] for empty bursts.
+    /// outside the device and [`Error::BadRequest`] for empty bursts. A
+    /// rejected burst leaves no trace in the statistics.
+    // simlint::entry(service_path)
+    // simlint::entry(hot_path)
     pub fn service_burst(
         &mut self,
         map_kind: AddressMapKind,
@@ -425,9 +342,7 @@ impl MemorySystem {
     ) -> Result<RequestOutcome> {
         match self.path {
             ServicePath::Fast => self.service_burst_fast(map_kind, op, at),
-            ServicePath::Reference => {
-                self.service_addr_reference(map_kind, op.addr, op.bytes, op.dir, at)
-            }
+            ServicePath::Reference => self.service_burst_reference(map_kind, op, at),
         }
     }
 
@@ -485,22 +400,16 @@ impl MemorySystem {
     }
 
     /// The original scalar implementation of
-    /// [`service_addr`](Self::service_addr), kept verbatim as the golden
-    /// reference: the address map is rebuilt on every call and every row
-    /// fragment is decoded with the div/mod chain.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::OutOfRange`] when the address (plus length) falls
-    /// outside the device and [`Error::BadRequest`] for empty requests.
-    pub fn service_addr_reference(
+    /// [`service_burst`](Self::service_burst), kept verbatim as the
+    /// golden reference: the address map is rebuilt on every call and
+    /// every row fragment is decoded with the div/mod chain.
+    fn service_burst_reference(
         &mut self,
         map_kind: AddressMapKind,
-        addr: u64,
-        bytes: u32,
-        dir: Direction,
+        op: TraceOp,
         at: Picos,
     ) -> Result<RequestOutcome> {
+        let TraceOp { addr, bytes, dir } = op;
         if bytes == 0 {
             return Err(Error::BadRequest("zero-length request".into()));
         }
@@ -539,50 +448,6 @@ impl MemorySystem {
         Ok(RequestOutcome { data_start, ..out })
     }
 
-    /// Serves a run of `beats` back-to-back accesses of `bytes` each,
-    /// starting at `addr` and all landing in the **same memory row** —
-    /// exactly equivalent to `beats` calls of
-    /// [`service_addr`](Self::service_addr) at consecutive addresses,
-    /// all arriving at `at`, but resolved through the controller's
-    /// closed-form streaming fast path when eligible.
-    ///
-    /// Returns the first beat's `data_start` and `row_hit` with the last
-    /// beat's `done`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::BadRequest`] for empty runs or runs that cross a
-    /// row boundary, and [`Error::OutOfRange`] when the run falls
-    /// outside the device.
-    pub fn service_run(
-        &mut self,
-        map_kind: AddressMapKind,
-        addr: u64,
-        bytes: u32,
-        beats: u32,
-        dir: Direction,
-        at: Picos,
-    ) -> Result<RequestOutcome> {
-        if bytes == 0 || beats == 0 {
-            return Err(Error::BadRequest("zero-length run".into()));
-        }
-        let total = bytes as u64 * beats as u64;
-        self.check_range(addr, total)?;
-        let loc = self.maps[map_kind.index()].decode(addr)?;
-        if loc.col as u64 + total > self.geom.row_bytes as u64 {
-            return Err(Error::BadRequest("run crosses a row boundary".into()));
-        }
-        Ok(self.controllers[loc.vault].service_run(
-            Request {
-                loc,
-                bytes,
-                dir,
-                at,
-            },
-            beats,
-        ))
-    }
-
     /// Classifies a pulled train of runs against register-resident
     /// controller state and advances the clock across the longest
     /// conflict-free span it can prove — the entry point of the
@@ -596,8 +461,7 @@ impl MemorySystem {
     ///    [`AddressMap::stride_run_location`] proves every beat is a row
     ///    miss in one bank with strictly ascending rows (the baseline's
     ///    strided column sweep): the bank stretch resolves in the
-    ///    controller's closed-form fused loop
-    ///    ([`VaultController::service_paced_run`]), which jumps over
+    ///    controller's closed-form fused loop, which jumps over
     ///    its own steady state once consecutive beats repeat shifted by
     ///    a constant; a run crossing into the next bank is served
     ///    stretch by stretch.
@@ -1057,8 +921,7 @@ impl MemorySystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Location;
-    use crate::VaultLease;
+    use crate::{Direction, VaultLease};
 
     fn sys() -> MemorySystem {
         MemorySystem::new(Geometry::default(), TimingParams::default())
@@ -1769,85 +1632,82 @@ mod tests {
             ..TimingParams::default()
         };
         assert!(MemorySystem::try_new(Geometry::default(), bad_timing).is_err());
+        // A capacity past `u64` is rejected, not wrapped (nor a debug
+        // overflow panic).
+        let huge = Geometry {
+            rows_per_bank: 1 << 40,
+            row_bytes: 1 << 30,
+            ..Geometry::default()
+        };
+        let r = MemorySystem::try_new(huge, TimingParams::default());
+        assert!(matches!(r, Err(Error::InvalidGeometry(_))), "{r:?}");
+    }
+
+    fn read(addr: u64, bytes: u32) -> TraceOp {
+        TraceOp {
+            addr,
+            bytes,
+            dir: Direction::Read,
+        }
     }
 
     #[test]
     fn vault_accesses_run_in_parallel() {
         let mut m = sys();
-        // Row misses in 16 different vaults: all finish at the same time
+        // Row misses in 16 different vaults (the chunked map gives each
+        // vault one contiguous slab): all finish at the same time
         // because vaults are independent.
-        let mut dones = Vec::new();
-        for v in 0..16 {
-            let loc = Location {
-                vault: v,
-                ..Location::ZERO
-            };
-            dones.push(m.service(Request::read(loc, 8)).unwrap().done);
-        }
+        let vault_bytes = m.geometry().vault_bytes();
+        let dones: Vec<_> = (0..16)
+            .map(|v| {
+                m.service_burst(
+                    AddressMapKind::Chunked,
+                    read(v * vault_bytes, 8),
+                    Picos::ZERO,
+                )
+                .unwrap()
+                .done
+            })
+            .collect();
         assert!(dones.windows(2).all(|w| w[0] == w[1]));
     }
 
     #[test]
     fn same_vault_accesses_serialize_on_tsvs() {
         let mut m = sys();
-        let a = m.service(Request::read(Location::ZERO, 512)).unwrap();
-        let b = m
-            .service(Request::read(
-                Location {
-                    col: 512,
-                    ..Location::ZERO
-                },
-                512,
-            ))
-            .unwrap();
+        let kind = AddressMapKind::Chunked;
+        let a = m.service_burst(kind, read(0, 512), Picos::ZERO).unwrap();
+        let b = m.service_burst(kind, read(512, 512), Picos::ZERO).unwrap();
         assert!(b.done > a.done);
     }
 
     #[test]
     fn row_boundary_split_touches_next_row() {
         let mut m = sys();
-        let row_bytes = m.geometry().row_bytes;
-        let loc = Location {
-            col: (row_bytes - 8) as u32,
-            ..Location::ZERO
-        };
-        let out = m.service(Request::read(loc, 16)).unwrap();
-        // The split forced a second activate in row 1.
+        let row_bytes = m.geometry().row_bytes as u64;
+        let out = m
+            .service_burst(
+                AddressMapKind::Chunked,
+                read(row_bytes - 8, 16),
+                Picos::ZERO,
+            )
+            .unwrap();
+        // The split forced a second activate in the next row.
         assert_eq!(m.stats().activations, 2);
         assert!(out.done > Picos::ZERO);
         assert_eq!(m.stats().bytes_read, 16);
     }
 
     #[test]
-    fn service_past_last_row_of_bank_is_rejected() {
-        // Regression: this used to wrap silently to row 0 of the same
-        // bank via `%` and keep going.
+    fn service_burst_round_trips_stats() {
         let mut m = sys();
-        let g = *m.geometry();
-        let loc = Location {
-            row: g.rows_per_bank - 1,
-            col: (g.row_bytes - 8) as u32,
-            ..Location::ZERO
+        let op = TraceOp {
+            addr: 0,
+            bytes: 64,
+            dir: Direction::Write,
         };
-        let r = m.service(Request::read(loc, 16));
-        assert!(matches!(r, Err(Error::OutOfRange { .. })), "{r:?}");
-        // Rejected up front: no fragment was serviced.
-        assert_eq!(m.stats().requests, 0);
-        // The last in-bank bytes are still reachable.
-        assert!(m.service(Request::read(loc, 8)).is_ok());
-    }
-
-    #[test]
-    fn service_addr_round_trips_stats() {
-        let mut m = sys();
         let out = m
-            .service_addr(
-                AddressMapKind::VaultInterleaved,
-                0,
-                64,
-                Direction::Write,
-                Picos::ZERO,
-            )
+            .service_burst(AddressMapKind::VaultInterleaved, op, Picos::ZERO)
             .unwrap();
         assert!(out.done > Picos::ZERO);
         assert_eq!(m.stats().bytes_written, 64);
@@ -1858,19 +1718,22 @@ mod tests {
         let mut m = sys();
         let cap = m.geometry().capacity_bytes();
         let kind = AddressMapKind::Chunked;
-        let op = |addr, bytes| TraceOp {
-            addr,
-            bytes,
-            dir: Direction::Read,
-        };
         for path in [ServicePath::Fast, ServicePath::Reference] {
             m.set_service_path(path);
-            // Past the device end, empty, and an end address that
-            // would overflow `u64`.
-            for bad in [op(cap - 4, 8), op(0, 0), op(u64::MAX - 2, 8)] {
+            // Past the device end, and an end address that would
+            // overflow `u64`.
+            for bad in [read(cap - 4, 8), read(u64::MAX - 2, 8)] {
                 let r = m.service_burst(kind, bad, Picos::ZERO);
-                assert!(r.is_err(), "{path:?} {bad:?}: {r:?}");
+                assert!(
+                    matches!(r, Err(Error::OutOfRange { .. })),
+                    "{path:?} {bad:?}: {r:?}"
+                );
             }
+            let empty = m.service_burst(kind, read(0, 0), Picos::ZERO);
+            assert!(
+                matches!(empty, Err(Error::BadRequest(_))),
+                "{path:?}: {empty:?}"
+            );
             let r = crate::replay_stream(
                 &mut crate::StridedSource::read(u64::MAX - 2, 8, 8, 1),
                 &mut m,
@@ -1882,8 +1745,7 @@ mod tests {
                 "{path:?}: {r:?}"
             );
         }
-        let r = m.service_run(kind, u64::MAX - 2, 8, 2, Direction::Read, Picos::ZERO);
-        assert!(matches!(r, Err(Error::OutOfRange { .. })), "{r:?}");
+        // Rejected bursts leave no trace in the statistics.
         assert_eq!(m.stats().requests, 0);
     }
 
@@ -1909,9 +1771,10 @@ mod tests {
                 } else {
                     Direction::Write
                 };
+                let op = TraceOp { addr, bytes, dir };
                 let at = Picos(i as u64 * 1000);
-                let a = fast.service_addr(kind, addr, bytes, dir, at).unwrap();
-                let b = reference.service_addr(kind, addr, bytes, dir, at).unwrap();
+                let a = fast.service_burst(kind, op, at).unwrap();
+                let b = reference.service_burst(kind, op, at).unwrap();
                 assert_eq!(a, b, "{kind:?} burst at {addr}+{bytes}");
             }
             assert_eq!(fast.stats(), reference.stats(), "{kind:?} stats");
@@ -1919,121 +1782,26 @@ mod tests {
     }
 
     #[test]
-    fn service_run_matches_scalar_beats() {
-        for kind in AddressMapKind::ALL {
-            let mut run = sys();
-            let mut scalar = sys();
-            let base = 4096u64;
-            let out_run = run
-                .service_run(kind, base, 8, 32, Direction::Read, Picos(500))
-                .unwrap();
-            let mut first = None;
-            let mut last = None;
-            for i in 0..32u64 {
-                let o = scalar
-                    .service_addr(kind, base + i * 8, 8, Direction::Read, Picos(500))
-                    .unwrap();
-                first.get_or_insert(o.data_start);
-                last = Some(o.done);
-            }
-            assert_eq!(out_run.data_start, first.unwrap(), "{kind:?}");
-            assert_eq!(out_run.done, last.unwrap(), "{kind:?}");
-            assert_eq!(run.stats(), scalar.stats(), "{kind:?}");
-        }
-    }
-
-    #[test]
-    fn service_run_rejects_bad_shapes() {
-        let mut m = sys();
-        let row = m.geometry().row_bytes as u64;
-        // Crossing a row boundary is the caller's bug, not a split.
-        assert!(m
-            .service_run(
-                AddressMapKind::Chunked,
-                row - 8,
-                8,
-                2,
-                Direction::Read,
-                Picos::ZERO
-            )
-            .is_err());
-        assert!(m
-            .service_run(
-                AddressMapKind::Chunked,
-                0,
-                8,
-                0,
-                Direction::Read,
-                Picos::ZERO
-            )
-            .is_err());
-        let cap = m.geometry().capacity_bytes();
-        assert!(m
-            .service_run(
-                AddressMapKind::Chunked,
-                cap - 8,
-                8,
-                2,
-                Direction::Read,
-                Picos::ZERO
-            )
-            .is_err());
-        assert_eq!(m.stats().requests, 0);
-    }
-
-    #[test]
     fn sequential_stream_beats_strided_stream() {
         // The fundamental effect the paper exploits: unit-stride access is
         // far faster than N-strided access under the Chunked map.
         let mut m = sys();
+        let kind = AddressMapKind::Chunked;
         let n = 1024u64;
         for i in 0..n {
-            m.service_addr(
-                AddressMapKind::Chunked,
-                i * 8,
-                8,
-                Direction::Read,
-                Picos::ZERO,
-            )
-            .unwrap();
+            m.service_burst(kind, read(i * 8, 8), Picos::ZERO).unwrap();
         }
         let seq = m.stats().bandwidth_gbps();
         m.reset();
         let stride = 1024 * 8;
         for i in 0..n {
-            m.service_addr(
-                AddressMapKind::Chunked,
-                i * stride,
-                8,
-                Direction::Read,
-                Picos::ZERO,
-            )
-            .unwrap();
+            m.service_burst(kind, read(i * stride, 8), Picos::ZERO)
+                .unwrap();
         }
         let strided = m.stats().bandwidth_gbps();
         assert!(
             seq > strided * 10.0,
             "sequential {seq} GB/s should dwarf strided {strided} GB/s"
         );
-    }
-
-    #[test]
-    fn service_rejects_foreign_location_and_zero_length() {
-        let mut m = sys();
-        let foreign = m.service(Request::read(
-            Location {
-                vault: 99,
-                ..Location::ZERO
-            },
-            8,
-        ));
-        assert!(
-            matches!(foreign, Err(Error::OutOfRange { .. })),
-            "{foreign:?}"
-        );
-        let empty = m.service(Request::read(Location::ZERO, 0));
-        assert!(matches!(empty, Err(Error::BadRequest(_))), "{empty:?}");
-        // Rejected requests leave no trace in the statistics.
-        assert_eq!(m.stats().requests, 0);
     }
 }

@@ -19,7 +19,7 @@
 //!   [`RequestSource`], and [`RequestSource::collect_trace`] goes the
 //!   other way, so the two forms are freely interchangeable.
 
-use crate::{AddressMapKind, Direction, MemorySystem, Picos, Result, ServicePath, Stats};
+use crate::{AddressMapKind, Direction, MemorySystem, Picos, Result, Stats};
 
 /// One logical access of a request stream or an [`AccessTrace`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -267,7 +267,9 @@ impl RequestSource for TraceStream<'_> {
 
 /// Replays a request stream against `mem` using address map `map_kind`,
 /// pulling one burst at a time — constant memory regardless of stream
-/// length.
+/// length. Every op goes through [`MemorySystem::service_burst`], so
+/// the replay runs on whichever [`ServicePath`](crate::ServicePath)
+/// `mem` has selected.
 ///
 /// With `pacing = None` every access is available at time zero and the
 /// device runs flat out (open-loop bandwidth measurement). With
@@ -278,17 +280,13 @@ impl RequestSource for TraceStream<'_> {
 /// call [`MemorySystem::reset_stats`] first for an isolated
 /// measurement. The returned [`TraceStats`] covers only this replay.
 ///
-/// Unpaced replays on the [`ServicePath::Fast`] path batch maximal runs
-/// of contiguous, same-row, same-direction, same-size ops into one
-/// closed-form [`MemorySystem::service_run`] call each; the resulting
-/// timing and statistics are identical to the per-op loop by
-/// construction (every op arrives at time zero).
-///
 /// # Errors
 ///
-/// Returns the first address-decoding error. (On error, how many of the
-/// preceding in-range ops were already serviced may differ between the
-/// batched and per-op paths.)
+/// Returns the first op's error ([`service_burst`]'s range and length
+/// checks). The ops before it stay served, the failing op leaves no
+/// trace, and the device is in the same state on both service paths.
+///
+/// [`service_burst`]: MemorySystem::service_burst
 pub fn replay_stream(
     src: &mut dyn RequestSource,
     mem: &mut MemorySystem,
@@ -298,51 +296,30 @@ pub fn replay_stream(
     let before = mem.stats();
     let mut last_done = Picos::ZERO;
     let mut first_start: Option<Picos> = None;
-    let batch = pacing.is_none() && mem.service_path() == ServicePath::Fast;
-    let row_bytes = mem.geometry().row_bytes as u64;
-    let mut idx: u64 = 0;
-    let mut pending: Option<TraceOp> = None;
-    while let Some(op) = pending.take().or_else(|| src.next()) {
-        let at = match pacing {
-            Some(p) => p * idx,
-            None => Picos::ZERO,
-        };
-        let mut beats: u32 = 1;
-        if batch && op.bytes != 0 {
-            if let Ok(loc) = mem.address_map(map_kind).decode(op.addr) {
-                let end_col = loc.col as u64 + op.bytes as u64;
-                if end_col <= row_bytes {
-                    // How many more equally-sized beats fit in this row.
-                    let room = ((row_bytes - end_col) / op.bytes as u64).min(u32::MAX as u64 - 1);
-                    while (beats as u64) <= room {
-                        match src.next() {
-                            Some(n)
-                                if n.dir == op.dir
-                                    && n.bytes == op.bytes
-                                    && n.addr == op.addr + beats as u64 * op.bytes as u64 =>
-                            {
-                                beats += 1;
-                            }
-                            other => {
-                                pending = other;
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
+    // Bytes issued per direction, for the conservation check below.
+    let (mut read, mut written) = (0u64, 0u64);
+    let served = src.enumerate().try_for_each(|(i, op)| {
+        let at = pacing.map_or(Picos::ZERO, |p| p * i as u64);
+        let out = mem.service_burst(map_kind, op, at)?;
+        match op.dir {
+            Direction::Read => read += u64::from(op.bytes),
+            Direction::Write => written += u64::from(op.bytes),
         }
-        let out = if beats > 1 {
-            mem.service_run(map_kind, op.addr, op.bytes, beats, op.dir, at)?
-        } else {
-            mem.service_addr(map_kind, op.addr, op.bytes, op.dir, at)?
-        };
         first_start.get_or_insert(out.data_start);
         last_done = last_done.max(out.done);
-        idx += beats as u64;
-    }
+        Ok(())
+    });
+    let stats = mem.stats().delta(&before);
+    // Bytes served = bytes issued: the device moved exactly what this
+    // replay handed it, in each direction.
+    debug_assert_eq!(
+        (stats.bytes_read, stats.bytes_written),
+        (read, written),
+        "replay: bytes served (read, written) differ from bytes issued"
+    );
+    served?;
     Ok(TraceStats {
-        stats: mem.stats().delta(&before),
+        stats,
         first_data: first_start.unwrap_or(Picos::ZERO),
         makespan: last_done,
     })
@@ -477,7 +454,7 @@ impl TraceStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Geometry, MemorySystem, TimingParams};
+    use crate::{Geometry, MemorySystem, ServicePath, TimingParams};
 
     fn mem() -> MemorySystem {
         MemorySystem::new(Geometry::default(), TimingParams::default())
@@ -516,15 +493,32 @@ mod tests {
         assert_eq!(s.collect_trace(), t);
     }
 
+    /// Replays the stream `make` builds on a Fast and a Reference
+    /// device under every map, paced and unpaced: the results (errors
+    /// included), the statistics and the device state must agree.
+    fn assert_paths_agree<'a>(what: &str, make: &dyn Fn() -> Box<dyn RequestSource + 'a>) {
+        for kind in crate::AddressMapKind::ALL {
+            for pacing in [None, Some(Picos(700))] {
+                let mut fast = mem();
+                let mut reference = mem();
+                reference.set_service_path(ServicePath::Reference);
+                let a = replay_stream(&mut make(), &mut fast, kind, pacing);
+                let b = replay_stream(&mut make(), &mut reference, kind, pacing);
+                let what = format!("{what}, {kind:?}, {pacing:?}");
+                assert_eq!(a, b, "{what}");
+                assert_eq!(fast.stats(), reference.stats(), "{what}");
+                reference.set_service_path(ServicePath::Fast);
+                assert_eq!(format!("{fast:?}"), format!("{reference:?}"), "{what}");
+            }
+        }
+    }
+
     #[test]
-    fn batched_replay_matches_reference_path() {
-        // The fast path batches contiguous same-row runs into
-        // `service_run`; the reference path services op by op. Results
-        // and device statistics must be bit-identical.
+    fn replay_matches_reference_path() {
         let traces = [
             AccessTrace::sequential_read(0, 8, 4096),
-            AccessTrace::sequential_read(8192 - 16, 8, 64), // run split by a row boundary
-            AccessTrace::strided_read(0, 8, 8192, 256),     // nothing to batch
+            AccessTrace::sequential_read(8192 - 16, 8, 64), // crosses a row boundary
+            AccessTrace::strided_read(0, 8, 8192, 256),
             {
                 let mut t = AccessTrace::sequential_read(64, 64, 32);
                 t.push(64 + 32 * 64, 64, Direction::Write); // direction break
@@ -532,17 +526,32 @@ mod tests {
                 t
             },
         ];
-        for kind in crate::AddressMapKind::ALL {
-            for t in &traces {
-                let mut fast = mem();
-                let mut reference = mem();
-                reference.set_service_path(crate::ServicePath::Reference);
-                let a = t.replay(&mut fast, kind, None).unwrap();
-                let b = t.replay(&mut reference, kind, None).unwrap();
-                assert_eq!(a, b, "{kind:?}, trace of {} ops", t.len());
-                assert_eq!(fast.stats(), reference.stats(), "{kind:?}");
-            }
+        for t in &traces {
+            assert_paths_agree(&format!("trace of {} ops", t.len()), &|| {
+                Box::new(t.stream())
+            });
         }
+        // Multi-beat strided streams, one of them splitting every op
+        // across a row boundary.
+        for (base, bytes, stride, count) in [
+            (0, 8, 8192, 300),
+            (96, 64, 2048, 200),
+            (8192 - 8, 16, 8192, 64),
+            (0, 8192, 8192, 40),
+        ] {
+            assert_paths_agree(&format!("{count} × {bytes} B every {stride} B"), &|| {
+                Box::new(StridedSource::write(base, bytes, stride, count))
+            });
+        }
+        // A stream that runs off the device part-way: the error and
+        // everything served before it agree too.
+        let cap = Geometry::default().capacity_bytes();
+        let off_the_end = || StridedSource::read(cap - 8 * 8192, 8, 8192, 20);
+        assert_paths_agree("off the end", &|| Box::new(off_the_end()));
+        let mut m = mem();
+        let r = replay_stream(&mut off_the_end(), &mut m, AddressMapKind::Chunked, None);
+        assert!(matches!(r, Err(crate::Error::OutOfRange { .. })), "{r:?}");
+        assert_eq!(m.stats().requests, 8, "the in-range ops stay served");
     }
 
     #[test]

@@ -259,7 +259,7 @@ impl JobCtx {
 /// submission order. `f` is called as `f(&mut ctx)` with
 /// `ctx.index()` in `0..jobs`.
 ///
-/// See the [module docs](self) for the determinism / fault-isolation /
+/// See the [crate docs](crate) for the determinism / fault-isolation /
 /// cancellation contract.
 // simlint::entry(service_path)
 pub fn run_jobs<T, F>(cfg: &ExecConfig, jobs: usize, f: F) -> Vec<JobResult<T>>

@@ -10,7 +10,7 @@
 //!   macro) replacing `proptest`: N random cases per property,
 //!   shrink-free, with the failing case's seed and message reported so
 //!   any counterexample is replayable;
-//! * [`bench`] — a wall-clock benchmark harness (warmup + median-of-K,
+//! * [`bench`](mod@bench) — a wall-clock benchmark harness (warmup + median-of-K,
 //!   JSON-line output) replacing `criterion` for `benches/*`;
 //! * [`json`] — a tiny JSON emitter (and matching parser) used by the
 //!   hand-rolled `to_json()` methods that replaced the `serde` derives

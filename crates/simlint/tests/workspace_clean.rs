@@ -74,12 +74,13 @@ fn callgraph_covers_the_core_service_spine() {
         "no hot_path entries found in the workspace"
     );
 
-    // The memory-system service spine is connected: `service` is
-    // reachable from the declared service entries.
-    let service = idx("mem3d::system::MemorySystem::service");
+    // The memory-system service spine is connected: the fast burst
+    // body behind `service_burst` is reachable from the declared
+    // service entries.
+    let service = idx("mem3d::system::MemorySystem::service_burst_fast");
     let r = g.reach(&g.entries("service_path"));
     assert!(
         r.visited[service],
-        "MemorySystem::service not reachable from service_path entries"
+        "MemorySystem::service_burst_fast not reachable from service_path entries"
     );
 }

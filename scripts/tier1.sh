@@ -12,6 +12,9 @@ cargo build --workspace --release --offline
 cargo test --workspace -q --offline
 cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo fmt --all -- --check
+# Every intra-doc link must resolve to a public item: a link left
+# pointing at a deleted or private API fails tier 1.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # Determinism, hot-path and interprocedural static analysis (see
 # DESIGN.md): any diagnostic not in the committed baseline — including
 # stale simlint::allow comments and stale baseline entries — fails
