@@ -4,9 +4,10 @@
 //! by `scripts/bench_record.sh` and gated by `scripts/check_alloc.py`):
 //!
 //! * `run_phase_steady` — heap allocations performed by a *warmed*
-//!   [`fft2d::run_phase_in`] (reads, delayed writes, event-driven fast
+//!   [`fft2d::run_phase`] (reads, delayed writes, event-driven fast
 //!   path). The floor is exactly zero: streams, beats and the report
-//!   are allocation-free once the pooled pending-write queue is sized.
+//!   are allocation-free once the thread's pooled pending-write queue
+//!   is sized.
 //! * `tenancy_steady` — the differential proof for the multi-tenant
 //!   event loop: at a fixed matrix size, adding jobs adds a fixed
 //!   per-job setup cost; the increment must be identical across matrix
@@ -26,7 +27,7 @@ use std::time::Instant;
 
 use alloc_counter::CountingAlloc;
 use bench::common;
-use fft2d::{run_phase_in, Architecture, DriverConfig, ExploreCache, PhaseWorkspace};
+use fft2d::{run_phase, Architecture, DriverConfig, ExploreCache};
 use layout::{row_phase_stream, LayoutParams, MatrixLayout, RowMajor};
 use mem3d::{Direction, Geometry, MemorySystem, Picos, TimingParams};
 use sim_util::json::JsonObject;
@@ -51,12 +52,10 @@ fn run_phase_steady(n: usize) {
         latency_probe_bytes: 0,
     };
     let mut mem = MemorySystem::new(geom, timing);
-    let mut ws = PhaseWorkspace::new();
 
-    let run = |ws: &mut PhaseWorkspace, mem: &mut MemorySystem, at: Picos| {
+    let run = |mem: &mut MemorySystem, at: Picos| {
         let mut writes = row_phase_stream(&layout, Direction::Write);
-        run_phase_in(
-            ws,
+        run_phase(
             mem,
             &cfg,
             &mut row_phase_stream(&layout, Direction::Read),
@@ -68,9 +67,9 @@ fn run_phase_steady(n: usize) {
     };
 
     // Warmup sizes the pooled pending-write queue.
-    let warm = run(&mut ws, &mut mem, Picos::ZERO);
+    let warm = run(&mut mem, Picos::ZERO);
     let before = alloc_counter::allocations();
-    let rep = run(&mut ws, &mut mem, warm.end);
+    let rep = run(&mut mem, warm.end);
     let allocs = alloc_counter::allocations() - before;
 
     let beats = (rep.read_bytes + rep.write_bytes) / 8;

@@ -10,10 +10,7 @@ use layout::{
 };
 use mem3d::{Direction, Geometry, MemorySystem, Picos, ServicePath, TimingParams};
 
-use crate::{
-    run_phase_in, DriverConfig, Fft2dError, MemoryImage, PhaseReport, PhaseWorkspace,
-    ProcessorModel,
-};
+use crate::{run_phase, DriverConfig, Fft2dError, MemoryImage, PhaseReport, ProcessorModel};
 
 /// Which architecture to simulate: the paper's two plus the strongest
 /// related-work comparator.
@@ -261,31 +258,12 @@ impl System {
         arch: Architecture,
         n: usize,
     ) -> Result<ColumnPhaseResult, Fft2dError> {
-        let mut ws = PhaseWorkspace::new();
-        self.column_phase_in(&mut ws, arch, n)
-    }
-
-    /// [`column_phase`](System::column_phase), but drawing driver
-    /// buffers from `ws` — sweeps measuring many candidates thread one
-    /// workspace through every call so the steady state stops
-    /// allocating.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Fft2dError`] on invalid configurations.
-    pub fn column_phase_in(
-        &self,
-        ws: &mut PhaseWorkspace,
-        arch: Architecture,
-        n: usize,
-    ) -> Result<ColumnPhaseResult, Fft2dError> {
         let params = self.layout_params(n);
         let family = self.intermediate_family(arch, n)?;
         let mut mem = self.fresh_mem()?;
         let proc = self.processor(&params, family.reorg_rows())?;
         let mut reads = family.col_stream(Direction::Read);
-        let report = run_phase_in(
-            ws,
+        let report = run_phase(
             &mut mem,
             &self.driver(&proc, Picos::ZERO, 0),
             reads.as_mut(),
@@ -315,33 +293,15 @@ impl System {
     ///
     /// Returns [`Fft2dError`] on invalid configurations.
     pub fn run_app(&self, arch: Architecture, n: usize) -> Result<AppResult, Fft2dError> {
-        let mut ws = PhaseWorkspace::new();
-        self.run_app_in(&mut ws, arch, n)
-    }
-
-    /// [`run_app`](System::run_app), but drawing driver buffers from
-    /// `ws`. One workspace serves both phases of the app and every
-    /// subsequent candidate/frame driven through it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Fft2dError`] on invalid configurations.
-    pub fn run_app_in(
-        &self,
-        ws: &mut PhaseWorkspace,
-        arch: Architecture,
-        n: usize,
-    ) -> Result<AppResult, Fft2dError> {
         let family = self.intermediate_family(arch, n)?;
-        self.run_app_with(ws, family.as_ref(), arch, n)
+        self.run_app_with(family.as_ref(), arch, n)
     }
 
     /// The app body with the intermediate family supplied by the caller
     /// — [`run_batch`](System::run_batch) builds the family once and
-    /// reuses it (and `ws`) across every frame.
+    /// reuses it across every frame.
     fn run_app_with(
         &self,
-        ws: &mut PhaseWorkspace,
         family: &dyn LayoutFamily,
         arch: Architecture,
         n: usize,
@@ -366,8 +326,7 @@ impl System {
             proc.kernel_latency()
         };
         let mut writes1 = family.write_stream();
-        let p1 = run_phase_in(
-            ws,
+        let p1 = run_phase(
             &mut mem,
             &self.driver(&proc, write_delay, 0),
             &mut row_phase_stream(&input, Direction::Read),
@@ -377,8 +336,7 @@ impl System {
         )?;
         drop(writes1);
         let mut reads2 = family.col_stream(Direction::Read);
-        let p2 = run_phase_in(
-            ws,
+        let p2 = run_phase(
             &mut mem,
             &self.driver(&proc, Picos::ZERO, col_bytes),
             reads2.as_mut(),
@@ -416,16 +374,14 @@ impl System {
         // accumulating each frame's end as the next frame's start. The
         // memory state (open rows) persists through the System's single
         // MemorySystem per call, so we re-run app frames sequentially
-        // and account total bytes/time. The intermediate family and the
-        // driver workspace are built once and reused across frames —
-        // the per-frame steady state allocates nothing in the driver.
+        // and account total bytes/time. The intermediate family is
+        // built once and reused across frames.
         let family = self.intermediate_family(arch, n)?;
-        let mut ws = PhaseWorkspace::new();
         let mut total_bytes = 0u64;
         let mut total_time = Picos::ZERO;
         let mut first: Option<AppResult> = None;
         for _ in 0..frames {
-            let r = self.run_app_with(&mut ws, family.as_ref(), arch, n)?;
+            let r = self.run_app_with(family.as_ref(), arch, n)?;
             total_bytes += r.phase1.read_bytes + r.phase2.read_bytes;
             total_time += r.total;
             first.get_or_insert(r);

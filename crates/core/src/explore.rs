@@ -36,18 +36,8 @@ use sim_util::json::{self, JsonObject};
 
 use crate::cache::{column_key, point_key, CacheStats, ExploreCache};
 use crate::{
-    run_phase_in, Architecture, ColumnPhaseResult, DriverConfig, Fft2dError, PhaseWorkspace,
-    ProcessorModel, System,
+    run_phase, Architecture, ColumnPhaseResult, DriverConfig, Fft2dError, ProcessorModel, System,
 };
-
-std::thread_local! {
-    /// One driver workspace per evaluating thread: candidates stream
-    /// through [`run_phase_in`] reusing the same buffers, so a sweep's
-    /// steady state allocates nothing in the driver no matter how many
-    /// thousands of points it visits.
-    static EVAL_WS: std::cell::RefCell<PhaseWorkspace> =
-        std::cell::RefCell::new(PhaseWorkspace::new());
-}
 
 /// One evaluated design point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -401,7 +391,7 @@ impl System {
         if let Some(r) = cache.get_column(key) {
             return Ok((r, true));
         }
-        let r = EVAL_WS.with(|ws| self.column_phase_in(&mut ws.borrow_mut(), arch, n))?;
+        let r = self.column_phase(arch, n)?;
         cache
             .record_column(key, r)
             .map_err(|e| Fft2dError::Cache(format!("append failed: {e}")))?;
@@ -435,17 +425,14 @@ impl System {
             write_delay: Picos::ZERO,
             latency_probe_bytes: 0,
         };
-        let outcome = EVAL_WS.with(|ws| {
-            run_phase_in(
-                &mut ws.borrow_mut(),
-                &mut mem,
-                &cfg,
-                reads.as_mut(),
-                family.map_kind(),
-                None,
-                Picos::ZERO,
-            )
-        });
+        let outcome = run_phase(
+            &mut mem,
+            &cfg,
+            reads.as_mut(),
+            family.map_kind(),
+            None,
+            Picos::ZERO,
+        );
         match outcome {
             Ok(rep) => Eval::Point(DesignPoint {
                 lanes,

@@ -62,8 +62,5 @@ pub use energy::{AppEnergyReport, PlatformEnergy};
 pub use error::Fft2dError;
 pub use explore::{pareto_front, DesignPoint, Exploration, ExploreFailure, SkipCounts};
 pub use image::MemoryImage;
-pub use phases::{
-    run_phase, run_phase_in, DriverConfig, PendingBeat, PhaseReport, PhaseWorkspace,
-    ResumablePhase, StepLimit,
-};
+pub use phases::{run_phase, DriverConfig, PendingBeat, PhaseReport, ResumablePhase, StepLimit};
 pub use processor::ProcessorModel;

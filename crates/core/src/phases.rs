@@ -23,33 +23,34 @@
 //! `u128`), so long phases suffer no floating-point precision loss —
 //! an `f64` clock silently drops picoseconds past 2⁵³ ps.
 //!
-//! Both consumption forms share **one stepper** over one scalar beat
-//! body:
+//! There is **one front end**, [`ResumablePhase`], over one stepper and
+//! one scalar beat body. It holds a phase **open between beats** so an
+//! external scheduler (the `tenancy` service) can interleave many
+//! concurrent phases on one shared [`MemorySystem`]. Each
+//! [`step_until`](ResumablePhase::step_until) serves the beat the
+//! scheduler granted and keeps going — fused spans where the memory
+//! system can prove them, scalar beats otherwise — while the next
+//! beat's grant is strictly before a horizon: the earliest competing
+//! event the scheduler knows of. [`run_phase`] opens one over borrowed
+//! streams and steps it with an unbounded horizon, so a one-shot phase
+//! is a single call. On
+//! [`ServicePath::Reference`](mem3d::ServicePath::Reference) the span
+//! classifier never fuses and the stepper degenerates to the scalar
+//! reference pipeline.
 //!
-//! * [`ResumablePhase`] holds a phase **open between beats** so an
-//!   external scheduler (the `tenancy` service) can interleave many
-//!   concurrent phases on one shared [`MemorySystem`]. Each
-//!   [`step_until`](ResumablePhase::step_until) serves the beat the
-//!   scheduler granted and keeps going — fused spans where the memory
-//!   system can prove them, scalar beats otherwise — while the next
-//!   beat's grant is strictly before a horizon: the earliest competing
-//!   event the scheduler knows of.
-//! * [`run_phase`] is the same stepper with an unbounded horizon, so a
-//!   one-shot phase is a single call. On
-//!   [`ServicePath::Reference`](mem3d::ServicePath::Reference) the span
-//!   classifier never fuses and the stepper degenerates to the scalar
-//!   reference pipeline.
-//!
-//! A single resumable phase stepped to completion is bit-identical to
-//! [`run_phase`] at any horizon — the scalar beat body is the
+//! A resumable phase stepped to completion gives bit-identical results
+//! whatever horizons it is stepped at — the scalar beat body is the
 //! authoritative pacing law, and the fused spans are differentially
-//! proven equal to it.
+//! proven equal to it. Each phase's pending-write queue comes from a
+//! per-thread pool, so a thread that has run one phase opens the next
+//! without allocating.
+
+use std::cell::Cell;
 
 use mem3d::{
     AddressMapKind, Direction, MemorySystem, Picos, RequestSource, RunPacing, RunServed,
     SpanOutcome, Stats, TraceOp, TraceRun, TraceTrain, VaultLease,
 };
-use sim_util::pool::ExclusivePool;
 
 use crate::Fft2dError;
 
@@ -58,46 +59,39 @@ use crate::Fft2dError;
 /// after one phase and can be recycled forever.
 type PendingWrites = std::collections::VecDeque<(Picos, AddressMapKind, TraceOp)>;
 
-/// Reusable buffers for the phase driver, recycled across phases,
-/// candidates, and jobs so the steady-state hot loop performs **zero**
-/// heap allocations per beat.
-///
-/// Ownership rule: the workspace *owns* idle buffers; a driver run
-/// ([`run_phase_in`], [`ResumablePhase::new_in`]) **takes** a buffer
-/// for the duration of the phase and **returns** it (cleared, capacity
-/// intact) when the phase report is assembled. A phase that errors out
-/// simply drops its buffer — correctness never depends on the pool, it
-/// only recycles capacity.
-///
-/// One workspace per driving thread: the pool is plain `&mut` state
-/// with no interior mutability, which is exactly what makes reuse free.
-/// [`run_phase`] and [`ResumablePhase::new`] remain allocation-owning
-/// conveniences that build (and drop) a private buffer per phase.
-#[derive(Debug, Default)]
-pub struct PhaseWorkspace {
-    pending: ExclusivePool<PendingWrites>,
+std::thread_local! {
+    /// Idle pending-write queues of this thread, cleared with their
+    /// capacity intact. A phase takes one when it opens and gives it
+    /// back when it finishes, so once every phase shape a thread drives
+    /// has run, opening another allocates nothing. A phase that errors
+    /// out or is dropped unfinished simply drops its queue: correctness
+    /// never depends on the pool, it only recycles capacity.
+    static PENDING_POOL: Cell<Vec<PendingWrites>> = Cell::default();
 }
 
-impl PhaseWorkspace {
-    /// An empty workspace; buffers are created on first use and
-    /// recycled afterwards.
-    pub fn new() -> Self {
-        PhaseWorkspace {
-            pending: ExclusivePool::new(),
-        }
-    }
+/// A cleared pending-write queue: pooled capacity if this thread has
+/// one idle, fresh otherwise (also while the thread is being torn down).
+fn take_pending() -> PendingWrites {
+    PENDING_POOL
+        .try_with(|pool| {
+            let mut free = pool.take();
+            let q = free.pop();
+            pool.set(free);
+            q
+        })
+        .ok()
+        .flatten()
+        .unwrap_or_default()
+}
 
-    /// Takes a cleared pending-write queue (pooled capacity if
-    /// available, fresh otherwise).
-    fn take_pending(&mut self) -> PendingWrites {
-        self.pending.take_or(PendingWrites::new)
-    }
-
-    /// Returns a drained queue to the pool for the next phase.
-    fn put_pending(&mut self, mut q: PendingWrites) {
-        q.clear();
-        self.pending.put(q);
-    }
+/// Returns a drained queue to this thread's pool for the next phase.
+fn put_pending(mut q: PendingWrites) {
+    q.clear();
+    let _ = PENDING_POOL.try_with(|pool| {
+        let mut free = pool.take();
+        free.push(q);
+        pool.set(free);
+    });
 }
 
 /// Knobs of the closed-loop driver.
@@ -223,8 +217,7 @@ impl From<Picos> for StepLimit {
 /// **does not** hold the memory system or the streams — those are
 /// threaded through each call — so a phase can be suspended between
 /// beats ([`ResumablePhase`]) while many phases share one
-/// `&mut MemorySystem`, and [`run_phase_in`] can drive borrowed streams
-/// through the very same [`step_until`](Self::step_until).
+/// `&mut MemorySystem`.
 struct DriverState {
     read_map: AddressMapKind,
     write_map: Option<AddressMapKind>,
@@ -250,8 +243,8 @@ struct DriverState {
     /// write delay: writes are only scheduled as their inputs are
     /// consumed, and released as soon as the frontier catches up. Each
     /// entry carries its address map so releasing never has to unwrap
-    /// the phase-level `write_map` option. The queue itself is borrowed
-    /// from a [`PhaseWorkspace`] and handed back (capacity intact) by
+    /// the phase-level `write_map` option. The queue itself comes from
+    /// this thread's pool and goes back (capacity intact) in
     /// [`finish`](Self::finish), so a warmed driver never reallocates it.
     pending: PendingWrites,
     /// Payload bytes of the read stream, known up front.
@@ -291,10 +284,8 @@ impl DriverState {
         read_map: AddressMapKind,
         write_map: Option<AddressMapKind>,
         start: Picos,
-        pending: PendingWrites,
         read_total: u64,
     ) -> Result<Self, Fft2dError> {
-        debug_assert!(pending.is_empty(), "pooled queue must arrive cleared");
         let rate_fs = fs_per_byte(cfg.ps_per_byte)?;
         let start_fs = start.as_ps() as u128 * FS_PER_PS;
         let kernel_end = u128::from(read_total)
@@ -323,7 +314,7 @@ impl DriverState {
             probe_done: Picos::ZERO,
             last_beat: start,
             next_write: None,
-            pending,
+            pending: take_pending(),
             read_total,
             run: None,
             fuse: false,
@@ -350,7 +341,7 @@ impl DriverState {
     /// it, and the first run that does not is kept for later. The
     /// memory system decides how much of the train it can serve at
     /// once ([`MemorySystem::service_paced_span`]).
-    fn pull(&mut self, reads: &mut dyn RequestSource) -> Option<TraceRun> {
+    fn pull<S: RequestSource>(&mut self, reads: &mut S) -> Option<TraceRun> {
         if self.run.is_none() {
             if self.queued > 0 {
                 self.take_queued();
@@ -376,7 +367,7 @@ impl DriverState {
 
     /// Queues every run after `first` that repeats it moved by one
     /// constant forward step, keeping the first one that does not.
-    fn gather(&mut self, reads: &mut dyn RequestSource, first: TraceRun) {
+    fn gather<S: RequestSource>(&mut self, reads: &mut S, first: TraceRun) {
         let mut last = first;
         while self.queued < u32::MAX {
             let Some(run) = reads.next_run() else { break };
@@ -491,11 +482,11 @@ impl DriverState {
     /// the span classes may decline leased beats, so the next beat then
     /// gets the scalar due check. Returns the latest completion among
     /// the served beats, or `None` when the read side is exhausted.
-    fn step_until(
+    fn step_until<S: RequestSource>(
         &mut self,
         mem: &mut MemorySystem,
-        reads: &mut dyn RequestSource,
-        mut writes: Option<&mut (dyn RequestSource + '_)>,
+        reads: &mut S,
+        mut writes: Option<&mut S>,
         mut limit: StepLimit,
     ) -> Result<Option<Picos>, Fft2dError> {
         let picks = limit.lease.map_or(0, |l| l.picks);
@@ -550,10 +541,10 @@ impl DriverState {
     /// paths share. Issues the read, advances the kernel clock, fires
     /// the latency probe and schedules/releases delayed writes. Returns
     /// the read burst's completion time.
-    fn scalar_beat(
+    fn scalar_beat<S: RequestSource>(
         &mut self,
         mem: &mut MemorySystem,
-        write_src: Option<&mut (dyn RequestSource + '_)>,
+        write_src: Option<&mut S>,
         op: TraceOp,
     ) -> Result<Picos, Fft2dError> {
         let arrive = self.next_arrive();
@@ -642,20 +633,20 @@ impl DriverState {
     }
 
     /// Drains the write tail and assembles the report, handing the
-    /// (now empty) pending queue back so its capacity can be pooled.
+    /// (now empty) pending queue back to this thread's pool.
     ///
     /// Once the read stream is drained, debug builds check that bytes
     /// issued equal bytes served: the kernel consumed exactly the read
     /// stream's total, and the memory served exactly the bytes issued on
     /// both sides — at least them when `exclusive` is false, as other
     /// phases may share the memory system.
-    fn finish(
+    fn finish<S: RequestSource>(
         mut self,
         mem: &mut MemorySystem,
-        write_src: Option<&mut (dyn RequestSource + '_)>,
+        write_src: Option<&mut S>,
         before: Stats,
         exclusive: bool,
-    ) -> Result<(PhaseReport, PendingWrites), Fft2dError> {
+    ) -> Result<PhaseReport, Fft2dError> {
         if let (Some(src), Some(wmap)) = (write_src, self.write_map) {
             while let Some(wop) = self.next_write.take().or_else(|| src.next()) {
                 self.pending.push_back((
@@ -698,7 +689,8 @@ impl DriverState {
             activations: d.activations,
             row_hit_rate: hit_rate(d.row_hits, d.row_misses),
         };
-        Ok((report, self.pending))
+        put_pending(self.pending);
+        Ok(report)
     }
 }
 
@@ -715,27 +707,35 @@ pub struct PendingBeat {
     pub op: TraceOp,
 }
 
-/// One phase held **open between beats**: the same driver state, streams
-/// and stepper as [`run_phase`], but with the memory system threaded per
+/// One phase held **open between beats**: the driver state and the
+/// phase's read and write streams, with the memory system threaded per
 /// call instead of borrowed for the whole phase — so an external
 /// scheduler (the `tenancy` service) can interleave many concurrent
-/// phases on one shared [`MemorySystem`].
+/// phases on one shared [`MemorySystem`]. [`run_phase`] is this type
+/// stepped to the end in one go.
+///
+/// `S` is the stream type of both sides: any [`RequestSource`], owned
+/// or borrowed. Borrowed streams are `S = &mut dyn RequestSource`.
 ///
 /// The protocol is peek → step_until → … → finish:
 ///
 /// * [`peek`](Self::peek) exposes the next read burst and its arrival
 ///   time without touching the memory system;
 /// * [`step_until`](Self::step_until) serves that burst (releasing any
-///   due delayed writes first, exactly as `run_phase` would), then
-///   keeps serving — fused spans where the memory system proves them —
-///   while the next burst's grant, `max(arrival, tsv_free_at)` on its
-///   vault, is strictly before the given horizon. A scheduler that
-///   passes the earliest competing event it knows of gets exactly the
-///   beats it would have granted this phase one at a time.
-///   [`step`](Self::step) is the one-beat case;
+///   due delayed writes first), then keeps serving — fused spans where
+///   the memory system proves them — while the next burst's grant,
+///   `max(arrival, tsv_free_at)` on its vault, is strictly before the
+///   given horizon. A scheduler that passes the earliest competing
+///   event it knows of gets exactly the beats it would have granted
+///   this phase one at a time. [`step`](Self::step) is the one-beat
+///   case;
 /// * when stepping returns `Ok(None)` the read side is exhausted and
 ///   [`finish`](Self::finish) drains the write tail and assembles the
 ///   [`PhaseReport`].
+///
+/// The phase's pending-write queue comes from a per-thread pool and
+/// goes back to it in `finish`, so once a thread has run a phase, the
+/// phases it opens after that allocate nothing.
 ///
 /// A single resumable phase stepped to completion on an otherwise idle
 /// memory system, at any horizons, is **bit-identical** to the same
@@ -746,19 +746,19 @@ pub struct PendingBeat {
 /// concurrent tenants they include interleaved foreign traffic; the
 /// timing fields (`start`, `end`, `probe_done`) are always exact
 /// per-phase values.
-pub struct ResumablePhase<'s> {
+pub struct ResumablePhase<S> {
     state: DriverState,
     before: Stats,
-    reads: Box<dyn RequestSource + 's>,
-    writes: Option<Box<dyn RequestSource + 's>>,
+    reads: S,
+    writes: Option<S>,
     write_total: u64,
 }
 
-impl<'s> ResumablePhase<'s> {
+impl<S: RequestSource> ResumablePhase<S> {
     /// Opens a phase on `mem` (only its statistics snapshot is taken;
-    /// nothing is serviced yet). `reads`/`writes` are the same lazy
-    /// streams [`run_phase`] takes, boxed so the phase can own them
-    /// across suspension points.
+    /// nothing is serviced yet). `reads` feed the kernel in order;
+    /// `writes` (if any) trail consumption by the configured write
+    /// delay.
     ///
     /// # Errors
     ///
@@ -767,32 +767,9 @@ impl<'s> ResumablePhase<'s> {
     pub fn new(
         mem: &MemorySystem,
         cfg: &DriverConfig,
-        reads: Box<dyn RequestSource + 's>,
+        reads: S,
         read_map: AddressMapKind,
-        writes: Option<(Box<dyn RequestSource + 's>, AddressMapKind)>,
-        start: Picos,
-    ) -> Result<Self, Fft2dError> {
-        let mut ws = PhaseWorkspace::new();
-        Self::new_in(&mut ws, mem, cfg, reads, read_map, writes, start)
-    }
-
-    /// [`new`](Self::new), but drawing the driver's pending-write queue
-    /// from `ws` instead of allocating a fresh one. Pair with
-    /// [`finish_into`](Self::finish_into) so the queue's capacity
-    /// survives into the next phase — the combination is what makes a
-    /// long-running scheduler's steady state allocation-free.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Fft2dError::Driver`] for an invalid kernel rate, or one
-    /// too slow for the phase's clocks to hold.
-    pub fn new_in(
-        ws: &mut PhaseWorkspace,
-        mem: &MemorySystem,
-        cfg: &DriverConfig,
-        reads: Box<dyn RequestSource + 's>,
-        read_map: AddressMapKind,
-        writes: Option<(Box<dyn RequestSource + 's>, AddressMapKind)>,
+        writes: Option<(S, AddressMapKind)>,
         start: Picos,
     ) -> Result<Self, Fft2dError> {
         let (writes, write_map) = match writes {
@@ -801,14 +778,7 @@ impl<'s> ResumablePhase<'s> {
         };
         let read_total = reads.total_bytes();
         Ok(ResumablePhase {
-            state: DriverState::new(
-                cfg,
-                read_map,
-                write_map,
-                start,
-                ws.take_pending(),
-                read_total,
-            )?,
+            state: DriverState::new(cfg, read_map, write_map, start, read_total)?,
             before: mem.stats(),
             write_total: writes.as_ref().map_or(0, |w| w.total_bytes()),
             reads,
@@ -831,11 +801,10 @@ impl<'s> ResumablePhase<'s> {
 
     /// The next read burst and its arrival time, or `None` when the
     /// read side is exhausted (call [`finish`](Self::finish)). Pulls at
-    /// most one train of runs off the read stream (see
-    /// [`run_phase`]); never touches the memory system, so peeking is
-    /// free to repeat between grants.
+    /// most one train of runs off the read stream; never touches the
+    /// memory system, so peeking is free to repeat between grants.
     pub fn peek(&mut self) -> Option<PendingBeat> {
-        let run = self.state.pull(&mut *self.reads)?;
+        let run = self.state.pull(&mut self.reads)?;
         Some(PendingBeat {
             arrive: self.state.next_arrive(),
             op: run.op,
@@ -865,12 +834,8 @@ impl<'s> ResumablePhase<'s> {
         mem: &mut MemorySystem,
         limit: impl Into<StepLimit>,
     ) -> Result<Option<Picos>, Fft2dError> {
-        self.state.step_until(
-            mem,
-            &mut *self.reads,
-            self.writes.as_deref_mut(),
-            limit.into(),
-        )
+        self.state
+            .step_until(mem, &mut self.reads, self.writes.as_mut(), limit.into())
     }
 
     /// Leased bursts the last [`step_until`](Self::step_until) call
@@ -892,44 +857,26 @@ impl<'s> ResumablePhase<'s> {
     }
 
     /// Drains the write tail and assembles the [`PhaseReport`], exactly
-    /// as [`run_phase`] would at end of stream.
+    /// as [`run_phase`] does at end of stream.
     ///
     /// # Errors
     ///
     /// Returns [`Fft2dError::Mem`] if a trailing write fails to decode.
     pub fn finish(self, mem: &mut MemorySystem) -> Result<PhaseReport, Fft2dError> {
-        let ResumablePhase {
-            state,
-            before,
-            mut writes,
-            ..
-        } = self;
-        let (report, _pending) = state.finish(mem, writes.as_deref_mut(), before, false)?;
-        Ok(report)
+        self.close(mem, false)
     }
 
-    /// [`finish`](Self::finish), additionally returning the driver's
-    /// pending-write queue to `ws` so the next phase opened with
-    /// [`new_in`](Self::new_in) reuses its capacity.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Fft2dError::Mem`] if a trailing write fails to decode
-    /// (the buffer is dropped, not pooled, on that path).
-    pub fn finish_into(
-        self,
-        mem: &mut MemorySystem,
-        ws: &mut PhaseWorkspace,
-    ) -> Result<PhaseReport, Fft2dError> {
+    /// [`finish`](Self::finish); `exclusive` says no other phase shared
+    /// `mem` since this one opened, which tightens the debug check on
+    /// bytes served.
+    fn close(self, mem: &mut MemorySystem, exclusive: bool) -> Result<PhaseReport, Fft2dError> {
         let ResumablePhase {
             state,
             before,
             mut writes,
             ..
         } = self;
-        let (report, pending) = state.finish(mem, writes.as_deref_mut(), before, false)?;
-        ws.put_pending(pending);
-        Ok(report)
+        state.finish(mem, writes.as_mut(), before, exclusive)
     }
 }
 
@@ -945,14 +892,15 @@ impl<'s> ResumablePhase<'s> {
 /// row-buffer state across calls — phase 2 genuinely inherits phase 1's
 /// open rows.
 ///
-/// The reads are driven by the same stepper as
-/// [`ResumablePhase::step_until`], with an unbounded horizon: on the
+/// This is a [`ResumablePhase`] over the borrowed streams, stepped with
+/// an unbounded horizon until its read side is drained: on the
 /// [`ServicePath::Fast`](mem3d::ServicePath::Fast) path it fuses
 /// whatever spans the memory system can prove, on
 /// [`ServicePath::Reference`](mem3d::ServicePath::Reference) it serves
 /// every burst through the scalar beat body. The two are bit-identical
 /// in every observable — the differential harness proves it — so the
-/// path choice is purely a simulation-speed knob.
+/// path choice is purely a simulation-speed knob. Like every phase, it
+/// allocates nothing once its thread has run one.
 ///
 /// # Errors
 ///
@@ -968,54 +916,11 @@ pub fn run_phase(
     writes: Option<(&mut dyn RequestSource, AddressMapKind)>,
     start: Picos,
 ) -> Result<PhaseReport, Fft2dError> {
-    let mut ws = PhaseWorkspace::new();
-    run_phase_in(&mut ws, mem, cfg, reads, read_map, writes, start)
-}
-
-/// [`run_phase`], but drawing the driver's reusable buffers from `ws`
-/// and returning them (capacity intact) when the phase completes.
-///
-/// After one warmup phase has sized the pooled pending-write queue, a
-/// call to `run_phase_in` performs **zero** heap allocations — the
-/// counting-allocator regression test in `tests/alloc_steady.rs` pins
-/// this. Sweeps that evaluate thousands of candidates thread one
-/// workspace through every call.
-///
-/// # Errors
-///
-/// Returns [`Fft2dError::Mem`] if any request fails to decode and
-/// [`Fft2dError::Driver`] for an invalid kernel rate, or one too slow
-/// for the phase's clocks to hold.
-// simlint::entry(service_path)
-pub fn run_phase_in(
-    ws: &mut PhaseWorkspace,
-    mem: &mut MemorySystem,
-    cfg: &DriverConfig,
-    reads: &mut dyn RequestSource,
-    read_map: AddressMapKind,
-    writes: Option<(&mut dyn RequestSource, AddressMapKind)>,
-    start: Picos,
-) -> Result<PhaseReport, Fft2dError> {
-    let before = mem.stats();
-    let (mut write_src, write_map) = match writes {
-        Some((src, map)) => (Some(src), Some(map)),
-        None => (None, None),
-    };
-    let mut state = DriverState::new(
-        cfg,
-        read_map,
-        write_map,
-        start,
-        ws.take_pending(),
-        reads.total_bytes(),
-    )?;
-    while state
-        .step_until(mem, reads, write_src.as_deref_mut(), Picos::MAX.into())?
-        .is_some()
-    {}
-    let (report, pending) = state.finish(mem, write_src, before, true)?;
-    ws.put_pending(pending);
-    Ok(report)
+    let writes = writes.map(|(w, map)| (w as &mut dyn RequestSource, map));
+    let mut phase =
+        ResumablePhase::<&mut dyn RequestSource>::new(mem, cfg, reads, read_map, writes, start)?;
+    while phase.step_until(mem, Picos::MAX)?.is_some() {}
+    phase.close(mem, true)
 }
 
 #[cfg(test)]
@@ -1169,7 +1074,7 @@ mod tests {
         // The thin collected form must remain a first-class input.
         let (mut mem, p) = setup(256);
         let l = RowMajor::interleaved(&p);
-        let trace = layout::collect_stream(&mut row_phase_stream(&l, Direction::Read));
+        let trace = row_phase_stream(&l, Direction::Read).collect_trace();
         let rep = run_phase(
             &mut mem,
             &driver(),
@@ -1224,17 +1129,15 @@ mod tests {
         // Finite but huge rates used to wrap the prefetch window
         // (1e36 ps/B) or overflow the clock past `Picos::MAX` (1e30
         // ps/B) — a wrong `end` in release builds, a panic in debug.
-        // Both phase front ends now refuse them up front.
+        // The phase refuses them when it opens.
         let (mut mem, p) = setup(64);
         let l = RowMajor::interleaved(&p);
-        let mut ws = PhaseWorkspace::new();
         for rate in [1e36, 1e30, 1e20] {
             let cfg = DriverConfig {
                 ps_per_byte: rate,
                 ..driver()
             };
-            let r = run_phase_in(
-                &mut ws,
+            let r = run_phase(
                 &mut mem,
                 &cfg,
                 &mut col_phase_stream(&l, Direction::Read, 1),
@@ -1243,11 +1146,10 @@ mod tests {
                 Picos::ZERO,
             );
             assert!(matches!(r, Err(Fft2dError::Driver(_))), "{rate}: {r:?}");
-            let r = ResumablePhase::new_in(
-                &mut ws,
+            let r = ResumablePhase::new(
                 &mem,
                 &cfg,
-                Box::new(col_phase_stream(&l, Direction::Read, 1)),
+                col_phase_stream(&l, Direction::Read, 1),
                 l.map_kind(),
                 None,
                 Picos::ZERO,
@@ -1295,12 +1197,9 @@ mod tests {
         let mut phase = ResumablePhase::new(
             &mem2,
             &driver(),
-            Box::new(row_phase_stream(&l, Direction::Read)),
+            row_phase_stream(&l, Direction::Read),
             l.map_kind(),
-            Some((
-                Box::new(row_phase_stream(&l, Direction::Write)),
-                l.map_kind(),
-            )),
+            Some((row_phase_stream(&l, Direction::Write), l.map_kind())),
             Picos::ZERO,
         )
         .unwrap();
@@ -1349,7 +1248,7 @@ mod tests {
             let mut phase = ResumablePhase::new(
                 &mem2,
                 &driver(),
-                Box::new(col_phase_stream(&l, Direction::Read, 1)),
+                Box::new(col_phase_stream(&l, Direction::Read, 1)) as Box<dyn RequestSource>,
                 l.map_kind(),
                 writes,
                 Picos::ZERO,
@@ -1375,7 +1274,7 @@ mod tests {
         let mut phase = ResumablePhase::new(
             &mem,
             &driver(),
-            Box::new(row_phase_stream(&l, Direction::Read)),
+            row_phase_stream(&l, Direction::Read),
             l.map_kind(),
             None,
             Picos::ZERO,

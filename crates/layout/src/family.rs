@@ -23,7 +23,7 @@
 
 use std::fmt;
 
-use mem3d::{AccessTrace, AddressMapKind, Direction, RequestSource};
+use mem3d::{AddressMapKind, Direction, RequestSource};
 
 use crate::{
     band_block_write_stream, block_write_stream, col_phase_stream, optimal_h, row_phase_stream,
@@ -93,22 +93,6 @@ pub trait LayoutFamily: fmt::Debug + Send + Sync {
     /// reorganization.
     fn write_stream(&self) -> Box<dyn RequestSource + '_> {
         Box::new(row_phase_stream(self.layout(), Direction::Write))
-    }
-
-    /// Collected [`row_stream`](Self::row_stream) — thin wrapper over
-    /// [`crate::collect_stream`], never a separate implementation.
-    fn row_trace(&self, dir: Direction) -> AccessTrace {
-        crate::collect_stream(&mut *self.row_stream(dir))
-    }
-
-    /// Collected [`col_stream`](Self::col_stream).
-    fn col_trace(&self, dir: Direction) -> AccessTrace {
-        crate::collect_stream(&mut *self.col_stream(dir))
-    }
-
-    /// Collected [`write_stream`](Self::write_stream).
-    fn write_trace(&self) -> AccessTrace {
-        crate::collect_stream(&mut *self.write_stream())
     }
 }
 
@@ -539,19 +523,5 @@ mod tests {
         assert_eq!(inter.map_kind(), AddressMapKind::VaultInterleaved);
         assert_eq!(chunked.layout().addr(3, 5), inter.layout().addr(3, 5));
         assert_eq!(chunked.reorg_rows(), 0);
-    }
-
-    #[test]
-    fn traces_match_collected_streams_for_every_family() {
-        let p = params(64);
-        for spec in enumerate_candidates(&p) {
-            let fam = spec.build(&p).unwrap();
-            let trace = fam.col_trace(Direction::Read);
-            let collected = crate::collect_stream(&mut *fam.col_stream(Direction::Read));
-            assert_eq!(trace, collected, "{spec:?} col trace diverged");
-            let wt = fam.write_trace();
-            let wc = crate::collect_stream(&mut *fam.write_stream());
-            assert_eq!(wt, wc, "{spec:?} write trace diverged");
-        }
     }
 }

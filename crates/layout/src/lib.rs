@@ -23,8 +23,8 @@
 //!   [`MatrixLayout::row_block_addr`]), coalesced into bursts a
 //!   contiguous chunk at a time under the controller's element-level
 //!   merge rule — O(1) memory per phase and no per-element address
-//!   walk; [`collect_stream`] (and the [`LayoutFamily`] trace methods)
-//!   materialize a stream for small problems and golden tests;
+//!   walk; [`RequestSource::collect_trace`](mem3d::RequestSource::collect_trace)
+//!   materializes a stream for small problems and golden tests;
 //! * the Eq. (1) block-height optimizer ([`optimal_h`]) and a
 //!   simulator-driven exhaustive search ([`search_optimal_h`]) that
 //!   validates it;
@@ -71,5 +71,5 @@ pub use params::LayoutParams;
 pub use reorg::ReorgCost;
 pub use trace::{
     band_block_write_stream, block_write_stream, col_bursts_per_column, col_phase_stream,
-    collect_stream, row_phase_stream, tile_band_write_stream, tile_sweep_stream, MAX_BURST_BYTES,
+    row_phase_stream, tile_band_write_stream, tile_sweep_stream, MAX_BURST_BYTES,
 };

@@ -18,10 +18,10 @@
 //! within [`MAX_BURST_BYTES`] — but applies that rule one unit-stride
 //! segment chunk at a time. Every stream is lazy
 //! ([`mem3d::RequestSource`]) with O(1) state, so an N×N phase costs
-//! constant memory; [`collect_stream`] materializes one for small
-//! problems and golden tests.
+//! constant memory; [`RequestSource::collect_trace`] materializes one
+//! for small problems and golden tests.
 
-use mem3d::{AccessTrace, Direction, RequestSource, TraceOp, TraceRun};
+use mem3d::{Direction, RequestSource, TraceOp, TraceRun};
 
 use crate::MatrixLayout;
 
@@ -537,17 +537,6 @@ pub fn tile_band_write_stream(layout: &crate::Tiled) -> impl RequestSource + '_ 
         ),
         Direction::Write,
     )
-}
-
-/// The one generic stream→trace collector: the [`crate::LayoutFamily`]
-/// trace methods are thin wrappers over it, so "trace ≡ collected
-/// stream" holds by construction for every family.
-pub fn collect_stream(src: &mut dyn RequestSource) -> AccessTrace {
-    let mut trace = AccessTrace::new();
-    for op in &mut *src {
-        trace.push(op.addr, op.bytes, op.dir);
-    }
-    trace
 }
 
 /// Convenience: the number of burst requests the column phase generates

@@ -94,7 +94,8 @@ impl Geometry {
     /// # Errors
     ///
     /// Returns [`Error::OutOfRange`] if `addr` exceeds the capacity.
-    pub fn location_of(&self, addr: u64) -> Result<Location> {
+    #[cfg(test)]
+    pub(crate) fn location_of(&self, addr: u64) -> Result<Location> {
         crate::AddressMap::new(crate::AddressMapKind::Chunked, *self).decode(addr)
     }
 

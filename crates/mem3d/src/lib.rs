@@ -125,7 +125,8 @@ pub use controller::{RunPacing, RunServed, VaultController, VaultLease};
 pub use energy::{EnergyParams, EnergyReport};
 pub use error::{Error, Result};
 pub use geometry::{Geometry, Location};
-pub use request::{Direction, Request, RequestOutcome};
+pub(crate) use request::Request;
+pub use request::{Direction, RequestOutcome};
 pub use stats::{BandwidthReport, Stats};
 pub use system::{MemorySystem, ServicePath, SpanOutcome};
 pub use timing::{Picos, TimingParams};

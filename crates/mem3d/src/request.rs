@@ -16,7 +16,7 @@ pub enum Direction {
 /// Requests never span a row boundary; the [`crate::MemorySystem`] splits
 /// larger transfers before they reach a controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Request {
+pub(crate) struct Request {
     /// Where the access lands.
     pub loc: Location,
     /// Transfer size in bytes.
@@ -27,9 +27,10 @@ pub struct Request {
     pub at: Picos,
 }
 
+#[cfg(test)]
 impl Request {
     /// A read request arriving at time zero.
-    pub fn read(loc: Location, bytes: u32) -> Self {
+    pub(crate) fn read(loc: Location, bytes: u32) -> Self {
         Request {
             loc,
             bytes,
@@ -39,7 +40,7 @@ impl Request {
     }
 
     /// A write request arriving at time zero.
-    pub fn write(loc: Location, bytes: u32) -> Self {
+    pub(crate) fn write(loc: Location, bytes: u32) -> Self {
         Request {
             loc,
             bytes,
@@ -49,7 +50,7 @@ impl Request {
     }
 
     /// Returns the same request with a different arrival time.
-    pub fn arriving_at(mut self, at: Picos) -> Self {
+    pub(crate) fn arriving_at(mut self, at: Picos) -> Self {
         self.at = at;
         self
     }

@@ -11,6 +11,13 @@ use crate::{
 /// integer femtoseconds; see `fft2d::run_phase`).
 const FS_PER_PS: u128 = 1_000;
 
+/// The latest arrival [`MemorySystem::service_burst`] accepts: half the
+/// [`Picos`] range, about 106 simulated days. The controllers add
+/// service times to an arrival, so an arrival near [`Picos::MAX`] would
+/// overflow their clocks; below this ceiling they would have to serve
+/// another 106 days of traffic first.
+const MAX_ARRIVAL: Picos = Picos(u64::MAX / 2);
+
 /// What the skip-ahead span classifier
 /// ([`MemorySystem::service_paced_span`]) decided about a pulled run or
 /// train.
@@ -330,8 +337,10 @@ impl MemorySystem {
     /// # Errors
     ///
     /// Returns [`Error::OutOfRange`] when the address (plus length) falls
-    /// outside the device and [`Error::BadRequest`] for empty bursts. A
-    /// rejected burst leaves no trace in the statistics.
+    /// outside the device, and [`Error::BadRequest`] for empty bursts
+    /// and for arrivals past `u64::MAX / 2` ps (about 106 simulated
+    /// days), which would overflow the controllers' clocks. A rejected
+    /// burst leaves no trace in the statistics.
     // simlint::entry(service_path)
     // simlint::entry(hot_path)
     pub fn service_burst(
@@ -340,6 +349,11 @@ impl MemorySystem {
         op: TraceOp,
         at: Picos,
     ) -> Result<RequestOutcome> {
+        if at > MAX_ARRIVAL {
+            return Err(Error::BadRequest(
+                "arrival past the simulated-time ceiling".into(),
+            ));
+        }
         match self.path {
             ServicePath::Fast => self.service_burst_fast(map_kind, op, at),
             ServicePath::Reference => self.service_burst_reference(map_kind, op, at),
@@ -1747,6 +1761,29 @@ mod tests {
         }
         // Rejected bursts leave no trace in the statistics.
         assert_eq!(m.stats().requests, 0);
+    }
+
+    #[test]
+    fn service_burst_rejects_arrivals_past_the_ceiling() {
+        // An arrival near `Picos::MAX` used to overflow the controller's
+        // clocks: a panic in debug builds, a wrapped time in release.
+        let mut m = sys();
+        for path in [ServicePath::Fast, ServicePath::Reference] {
+            m.set_service_path(path);
+            for at in [MAX_ARRIVAL.as_ps() + 1, u64::MAX - 1, u64::MAX] {
+                let r = m.service_burst(AddressMapKind::Chunked, read(0, 64), Picos(at));
+                assert!(
+                    matches!(r, Err(Error::BadRequest(_))),
+                    "{path:?} {at}: {r:?}"
+                );
+            }
+        }
+        assert_eq!(m.stats().requests, 0);
+        // The ceiling itself is still served.
+        let out = m
+            .service_burst(AddressMapKind::Chunked, read(0, 64), MAX_ARRIVAL)
+            .unwrap();
+        assert!(out.done > MAX_ARRIVAL);
     }
 
     #[test]

@@ -282,9 +282,11 @@ impl RequestSource for TraceStream<'_> {
 ///
 /// # Errors
 ///
-/// Returns the first op's error ([`service_burst`]'s range and length
-/// checks). The ops before it stay served, the failing op leaves no
-/// trace, and the device is in the same state on both service paths.
+/// Returns the first op's error ([`service_burst`]'s range, length and
+/// arrival checks; an `i * p` past `u64::MAX` saturates, so it fails
+/// the arrival check). The ops before it stay served, the failing op
+/// leaves no trace, and the device is in the same state on both service
+/// paths.
 ///
 /// [`service_burst`]: MemorySystem::service_burst
 pub fn replay_stream(
@@ -299,7 +301,12 @@ pub fn replay_stream(
     // Bytes issued per direction, for the conservation check below.
     let (mut read, mut written) = (0u64, 0u64);
     let served = src.enumerate().try_for_each(|(i, op)| {
-        let at = pacing.map_or(Picos::ZERO, |p| p * i as u64);
+        let at = match pacing {
+            None => Picos::ZERO,
+            // Saturate: `service_burst` rejects the arrival.
+            Some(p) if p.as_ps().checked_mul(i as u64).is_none() => Picos::MAX,
+            Some(p) => p * i as u64,
+        };
         let out = mem.service_burst(map_kind, op, at)?;
         match op.dir {
             Direction::Read => read += u64::from(op.bytes),
@@ -637,6 +644,27 @@ mod tests {
         let cap = m.geometry().capacity_bytes();
         let t = AccessTrace::sequential_read(cap - 8, 8, 2);
         assert!(t.replay(&mut m, AddressMapKind::Chunked, None).is_err());
+    }
+
+    #[test]
+    fn replay_rejects_arrivals_that_overflow_the_clock() {
+        // At the smallest pacing op 2 arrives at `u64::MAX - 1` ps, past
+        // the service ceiling; at the larger ones op 1 is past it and
+        // op 2's `2 * p` would overflow `u64`. These used to panic in
+        // debug builds and wrap in release.
+        for pacing in [u64::MAX / 2, u64::MAX / 2 + 1, u64::MAX] {
+            let mut m = mem();
+            let r = replay_stream(
+                &mut StridedSource::read(0, 8, 64, 3),
+                &mut m,
+                AddressMapKind::Chunked,
+                Some(Picos(pacing)),
+            );
+            assert!(
+                matches!(r, Err(crate::Error::BadRequest(_))),
+                "{pacing}: {r:?}"
+            );
+        }
     }
 
     #[test]

@@ -17,9 +17,7 @@
 //!   in `mem3d`, `layout` and `fpga-model`, and by tools (`simlint`)
 //!   that consume the workspace's JSON-lines protocols;
 //! * [`hash`] — a stable 64-bit FNV-1a content hasher (replacing
-//!   unstable `std::hash` for the on-disk exploration cache keys);
-//! * [`pool`] — an exclusive object pool used to recycle hot-path
-//!   buffers across phases, candidates, and jobs.
+//!   unstable `std::hash` for the on-disk exploration cache keys).
 //!
 //! Everything here is deterministic by construction: the same seed
 //! always produces the same stream, property cases derive their
@@ -32,11 +30,9 @@
 pub mod bench;
 pub mod hash;
 pub mod json;
-pub mod pool;
 pub mod prop;
 pub mod rng;
 
 pub use bench::BenchGroup;
 pub use hash::StableHasher;
-pub use pool::ExclusivePool;
 pub use rng::SimRng;

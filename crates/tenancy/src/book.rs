@@ -10,11 +10,15 @@
 //! so any drift between the two recipe sets is a test failure, not a
 //! silent divergence.
 
-use fft2d::{DriverConfig, PhaseWorkspace, ProcessorModel, ResumablePhase, System, SystemConfig};
+use fft2d::{DriverConfig, ProcessorModel, ResumablePhase, System, SystemConfig};
 use layout::{row_phase_stream, LayoutFamily, LayoutParams, MatrixLayout, ReorgCost, RowMajor};
-use mem3d::{Direction, MemorySystem, Picos};
+use mem3d::{Direction, MemorySystem, Picos, RequestSource};
 
 use crate::{JobShape, OffsetSource, TenancyError, TenantSpec};
+
+/// An open phase of one tenant job: its streams, rebased into the
+/// tenant's arena, borrow their layouts from the [`SpecBook`].
+pub(crate) type JobPhase<'b> = ResumablePhase<OffsetSource<Box<dyn RequestSource + 'b>>>;
 
 /// One tenant's prepared runtime: everything needed to open a phase of
 /// one of its jobs against the shared memory system.
@@ -125,19 +129,13 @@ impl SpecBook {
     /// exactly (see module docs) — and since every stream comes from
     /// the entry's [`LayoutFamily`], the match is per *phase shape*,
     /// not per architecture.
-    ///
-    /// The driver's pending-write queue is drawn from `ws`; closing the
-    /// phase with [`ResumablePhase::finish_into`] hands it back, so a
-    /// long service run reuses one queue's capacity across every phase
-    /// of every job.
-    pub(crate) fn open_phase<'b>(
-        &'b self,
-        ws: &mut PhaseWorkspace,
+    pub(crate) fn open_phase(
+        &self,
         mem: &MemorySystem,
         t: usize,
         phase: usize,
         start: Picos,
-    ) -> Result<ResumablePhase<'b>, TenancyError> {
+    ) -> Result<JobPhase<'_>, TenancyError> {
         let Some(e) = self.entries.get(t) else {
             return Err(TenancyError::Config(format!("unknown tenant {t}")));
         };
@@ -152,14 +150,10 @@ impl SpecBook {
                 } else {
                     0
                 };
-                ResumablePhase::new_in(
-                    ws,
+                JobPhase::new(
                     mem,
                     &self.driver(e, Picos::ZERO, probe),
-                    Box::new(OffsetSource::new(
-                        e.family.col_stream(Direction::Read),
-                        base,
-                    )),
+                    OffsetSource::new(e.family.col_stream(Direction::Read), base),
                     e.family.map_kind(),
                     None,
                     start,
@@ -174,17 +168,13 @@ impl SpecBook {
                 } else {
                     &e.row
                 };
-                ResumablePhase::new_in(
-                    ws,
+                JobPhase::new(
                     mem,
                     &self.driver(e, e.write_delay1, 0),
-                    Box::new(OffsetSource::new(
-                        row_phase_stream(input, Direction::Read),
-                        base,
-                    )),
+                    OffsetSource::new(Box::new(row_phase_stream(input, Direction::Read)), base),
                     input.map_kind(),
                     Some((
-                        Box::new(OffsetSource::new(e.family.write_stream(), base)),
+                        OffsetSource::new(e.family.write_stream(), base),
                         e.family.map_kind(),
                     )),
                     start,
@@ -291,9 +281,8 @@ mod tests {
         assert_eq!(book.phases(0), 1);
         assert_eq!(book.phases(1), 2);
         let mem = MemorySystem::new(platform.geometry, platform.timing);
-        let mut ws = PhaseWorkspace::new();
-        assert!(book.open_phase(&mut ws, &mem, 0, 1, Picos::ZERO).is_err());
-        assert!(book.open_phase(&mut ws, &mem, 1, 1, Picos::ZERO).is_ok());
+        assert!(book.open_phase(&mem, 0, 1, Picos::ZERO).is_err());
+        assert!(book.open_phase(&mem, 1, 1, Picos::ZERO).is_ok());
     }
 
     #[test]

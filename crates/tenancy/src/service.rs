@@ -26,6 +26,8 @@
 //! (deficit credits included) is untouched. The reports are
 //! byte-identical to granting one beat per iteration.
 //!
+//! [`ResumablePhase::step_until`]: fft2d::ResumablePhase::step_until
+//!
 //! A **contended** winner goes on past the horizon under a **lease**
 //! ([`Arbiter::lease`](crate::Arbiter::lease)): the number of further
 //! picks it would win in a row against the same contenders, and a bound
@@ -46,14 +48,17 @@
 
 use std::collections::VecDeque;
 
-use fft2d::{PhaseWorkspace, ResumablePhase, StepLimit};
+use fft2d::StepLimit;
 use mem3d::{MemorySystem, Picos, VaultLease};
 use sim_exec::{par_map, CancelToken, ExecConfig, JobError};
 use sim_util::SimRng;
 
 use crate::{
-    book::SpecBook, percentile, traffic::ArrivalSource, AdmissionCounts, ArbiterKind, Contender,
-    JobRecord, Scenario, ServiceReport, TenancyError, TenantQos,
+    book::{JobPhase, SpecBook},
+    percentile,
+    traffic::ArrivalSource,
+    AdmissionCounts, ArbiterKind, Contender, JobRecord, Scenario, ServiceReport, TenancyError,
+    TenantQos,
 };
 
 #[cfg(test)]
@@ -76,7 +81,7 @@ struct Running<'b> {
     /// accounting — the shared system's counters mix tenants).
     bytes: u64,
     slot: usize,
-    phase: ResumablePhase<'b>,
+    phase: JobPhase<'b>,
 }
 
 /// A job waiting for a run slot.
@@ -140,13 +145,12 @@ fn isolated_latency(
     tenant: usize,
 ) -> Result<Picos, TenancyError> {
     let mut mem = fresh_mem(&scenario.platform)?;
-    let mut ws = PhaseWorkspace::new();
     let mut t = Picos::ZERO;
     for p in 0..book.phases(tenant) {
-        let mut phase = book.open_phase(&mut ws, &mem, tenant, p, t)?;
+        let mut phase = book.open_phase(&mem, tenant, p, t)?;
         // Nothing competes, so each phase runs to its end in one call.
         while phase.step_until(&mut mem, Picos::MAX)?.is_some() {}
-        t = phase.finish_into(&mut mem, &mut ws)?.end;
+        t = phase.finish(&mut mem)?.end;
     }
     Ok(t)
 }
@@ -247,12 +251,11 @@ fn run_shared(
     let mut counts = vec![AdmissionCounts::default(); tenants.len()];
     let mut records: Vec<JobRecord> = Vec::new();
     let mut next_job_id = 0u64;
-    // Steady-state reuse: one driver workspace recycles the pending-
-    // write queue across every phase of every job, and the arbitration
+    // Steady-state reuse: the phases recycle their pending-write
+    // queues through the driver's per-thread pool, and the arbitration
     // scratch vectors are cleared per grant instead of reallocated —
     // after warmup the event loop performs zero heap allocations per
     // beat (pinned by `tests/alloc_steady.rs`).
-    let mut ws = PhaseWorkspace::new();
     let mut contenders: Vec<Contender> = Vec::new();
     let mut owners: Vec<usize> = Vec::new();
     let mut heads: Vec<Option<Head>> = Vec::new();
@@ -283,9 +286,9 @@ fn run_shared(
                 continue;
             }
             let r = running.remove(i);
-            let rep = r.phase.finish_into(&mut mem, &mut ws)?;
+            let rep = r.phase.finish(&mut mem)?;
             if r.phase_idx + 1 < book.phases(r.tenant) {
-                let next = book.open_phase(&mut ws, &mem, r.tenant, r.phase_idx + 1, rep.end)?;
+                let next = book.open_phase(&mem, r.tenant, r.phase_idx + 1, rep.end)?;
                 let bytes = r.bytes + next.total_bytes();
                 running.insert(
                     i,
@@ -406,17 +409,7 @@ fn run_shared(
                     .min();
                 match free_now {
                     Some((_, si)) if queue.is_empty() => {
-                        admit_job(
-                            book,
-                            &mut ws,
-                            &mem,
-                            &mut running,
-                            &mut slots,
-                            &mut counts,
-                            q,
-                            t,
-                            si,
-                        )?;
+                        admit_job(book, &mem, &mut running, &mut slots, &mut counts, q, t, si)?;
                     }
                     _ if queue.len() < adm.queue_depth => queue.push_back(q),
                     _ => {
@@ -438,17 +431,7 @@ fn run_shared(
                             src.job_done(h.client, t);
                         }
                     } else {
-                        admit_job(
-                            book,
-                            &mut ws,
-                            &mem,
-                            &mut running,
-                            &mut slots,
-                            &mut counts,
-                            h,
-                            t,
-                            si,
-                        )?;
+                        admit_job(book, &mem, &mut running, &mut slots, &mut counts, h, t, si)?;
                     }
                 }
             }
@@ -616,7 +599,6 @@ fn total(counts: &[AdmissionCounts]) -> AdmissionCounts {
 #[allow(clippy::too_many_arguments)]
 fn admit_job<'b>(
     book: &'b SpecBook,
-    ws: &mut PhaseWorkspace,
     mem: &MemorySystem,
     running: &mut Vec<Running<'b>>,
     slots: &mut [Slot],
@@ -625,7 +607,7 @@ fn admit_job<'b>(
     at: Picos,
     slot: usize,
 ) -> Result<(), TenancyError> {
-    let phase = book.open_phase(ws, mem, q.tenant, 0, at)?;
+    let phase = book.open_phase(mem, q.tenant, 0, at)?;
     let bytes = phase.total_bytes();
     if let Some(s) = slots.get_mut(slot) {
         s.occupied = true;

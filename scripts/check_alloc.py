@@ -2,9 +2,9 @@
 """Gates a BENCH_alloc.json record (usage: check_alloc.py FILE [--smoke]).
 
 Floors, all hard failures:
-  * run_phase_steady: a warmed run_phase_in performs exactly **zero**
+  * run_phase_steady: a warmed run_phase performs exactly **zero**
     heap allocations — streams, beats, delayed writes and the report
-    all reuse the pooled workspace;
+    all reuse the thread's pooled pending-write queue;
   * tenancy_steady: the per-job allocation increment of the multi-
     tenant event loop is identical across matrix sizes (differential
     proof that no allocation scales with the beat count);
@@ -30,7 +30,7 @@ def main() -> None:
         f"warm_allocs={r['warm_allocs']}"
     )
     assert r["warm_allocs"] == 0, (
-        f"warmed run_phase_in allocated {r['warm_allocs']} times "
+        f"warmed run_phase allocated {r['warm_allocs']} times "
         f"(the steady state must be allocation-free)"
     )
 

@@ -9,6 +9,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --workspace --release --offline
+# The benchmark is its own workspace: build it too, so a public-API
+# change that breaks it fails here rather than at benchmark time.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo test --workspace -q --offline
 cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo fmt --all -- --check

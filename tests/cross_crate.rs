@@ -3,10 +3,10 @@
 
 use fft_kernel::{digit_reversal, fft, Cplx, DppUnit, FftDirection, KernelConfig, StreamingFft};
 use layout::{
-    band_block_write_stream, col_phase_stream, collect_stream, row_phase_stream, BlockDynamic,
-    LayoutParams, MatrixLayout, RowMajor,
+    band_block_write_stream, col_phase_stream, row_phase_stream, BlockDynamic, LayoutParams,
+    MatrixLayout, RowMajor,
 };
-use mem3d::{Direction, Geometry, MemorySystem, Picos, TimingParams};
+use mem3d::{Direction, Geometry, MemorySystem, Picos, RequestSource, TimingParams};
 use permute::{Permutation, StreamingPermuter, TileTransposer};
 use sim_util::{prop_assert, prop_assert_eq, prop_assume, prop_check};
 
@@ -79,10 +79,10 @@ fn every_phase_trace_moves_each_byte_exactly_once() {
     let rm = RowMajor::new(&p);
     let matrix_bytes = (n * n * 8) as u64;
     for trace in [
-        collect_stream(&mut row_phase_stream(&rm, Direction::Read)),
-        collect_stream(&mut col_phase_stream(&rm, Direction::Read, 1)),
-        collect_stream(&mut col_phase_stream(&ddl, Direction::Read, ddl.w)),
-        collect_stream(&mut band_block_write_stream(&ddl)),
+        row_phase_stream(&rm, Direction::Read).collect_trace(),
+        col_phase_stream(&rm, Direction::Read, 1).collect_trace(),
+        col_phase_stream(&ddl, Direction::Read, ddl.w).collect_trace(),
+        band_block_write_stream(&ddl).collect_trace(),
     ] {
         assert_eq!(trace.total_bytes(), matrix_bytes);
     }
@@ -96,7 +96,7 @@ fn replaying_layout_traces_never_leaves_the_device() {
     let p = params(n);
     let ddl = BlockDynamic::with_height(&p, 64).unwrap();
     let mut mem = MemorySystem::new(Geometry::default(), TimingParams::default());
-    let trace = collect_stream(&mut col_phase_stream(&ddl, Direction::Read, ddl.w));
+    let trace = col_phase_stream(&ddl, Direction::Read, ddl.w).collect_trace();
     let stats = trace.replay(&mut mem, ddl.map_kind(), None).unwrap();
     assert_eq!(stats.stats.bytes_read, (n * n * 8) as u64);
 }
@@ -106,7 +106,7 @@ fn paced_replay_never_beats_open_loop() {
     let n = 256;
     let p = params(n);
     let ddl = BlockDynamic::with_height(&p, 64).unwrap();
-    let trace = collect_stream(&mut col_phase_stream(&ddl, Direction::Read, ddl.w));
+    let trace = col_phase_stream(&ddl, Direction::Read, ddl.w).collect_trace();
     let mut open = MemorySystem::new(Geometry::default(), TimingParams::default());
     let open_stats = trace.replay(&mut open, ddl.map_kind(), None).unwrap();
     let mut paced = MemorySystem::new(Geometry::default(), TimingParams::default());

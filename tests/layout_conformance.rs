@@ -141,25 +141,6 @@ fn run_expansion_reproduces_the_scalar_op_sequence() {
     }
 }
 
-#[test]
-fn traces_are_materialized_streams() {
-    let p = params(64);
-    for spec in enumerate_candidates(&p) {
-        let fam = spec.build(&p).expect("registry candidates build");
-        for dir in [Direction::Read, Direction::Write] {
-            let streamed: Vec<TraceOp> = fam.col_stream(dir).collect();
-            let traced: Vec<TraceOp> = fam.col_trace(dir).stream().collect();
-            assert_eq!(streamed, traced, "{spec:?} col {dir:?}");
-            let streamed: Vec<TraceOp> = fam.row_stream(dir).collect();
-            let traced: Vec<TraceOp> = fam.row_trace(dir).stream().collect();
-            assert_eq!(streamed, traced, "{spec:?} row {dir:?}");
-        }
-        let streamed: Vec<TraceOp> = fam.write_stream().collect();
-        let traced: Vec<TraceOp> = fam.write_trace().stream().collect();
-        assert_eq!(streamed, traced, "{spec:?} write");
-    }
-}
-
 /// One column phase through the closed-loop driver.
 fn phase_of(reads: &mut dyn RequestSource, map: mem3d::AddressMapKind) -> PhaseReport {
     let mut mem = MemorySystem::new(Geometry::default(), TimingParams::default());
