@@ -54,16 +54,16 @@
 //!   kernel-clock pacing law ([`RunPacing`]) to
 //!   [`MemorySystem::service_paced_span`]; when the address map proves
 //!   every beat is a row miss in one bank with strictly ascending rows,
-//!   the controller replays the driver's exact per-beat arithmetic in a
-//!   fused register-resident loop — the paper's worst-case strided
-//!   column sweep drops from a full round trip per element to a few
-//!   arithmetic operations, and once the loop reaches its steady state
-//!   (each beat one `t_diff_row` after the last) it jumps the rest of
-//!   the bank stretch in closed form;
+//!   the memory system replays the driver's exact per-beat arithmetic
+//!   beside the controller — the paper's worst-case strided column
+//!   sweep drops from a full round trip per element to one controller
+//!   call, and once the stretch reaches its steady state (each beat one
+//!   `t_diff_row` after the last) it jumps the rest of the bank stretch
+//!   in closed form;
 //! * **event-driven span classification** — the layer above:
 //!   [`MemorySystem::service_paced_span`] classifies a whole pulled run
 //!   against controller state and either fuses it (class 1, the
-//!   same-bank closed form, or class 2, the per-beat spans the
+//!   same-bank stretch, or class 2, the per-beat spans the
 //!   optimized dynamic layouts and the row-major column walk emit),
 //!   asks the driver to step one scalar beat at a contention boundary
 //!   ([`SpanOutcome::Step`]), or declares the run shape unfusable so
@@ -80,7 +80,9 @@
 //!   leaves the touched banks and vaults exactly as the run before
 //!   left them, shifted in time, jumps the rest of the train in closed
 //!   form — the vault-hopping column sweep costs a handful of runs
-//!   instead of one controller round trip per beat.
+//!   instead of one controller round trip per beat. One jump engine
+//!   serves both steady states, a same-bank stretch as periods of one
+//!   beat and a train as periods of one run.
 //!
 //! [`ServicePath`] selects between the fast path (the default) and the
 //! original scalar implementation; differential property tests assert
@@ -113,6 +115,7 @@ mod controller;
 mod energy;
 mod error;
 mod geometry;
+mod jump;
 mod request;
 mod stats;
 mod system;

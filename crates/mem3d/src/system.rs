@@ -1,22 +1,23 @@
 //! The complete memory device: all vaults behind one façade.
 
-use crate::controller::{picks_used, VaultClocks};
+use crate::controller::picks_used;
+use crate::jump::{Jump, Span};
 use crate::{
-    AddressMap, AddressMapKind, BandwidthReport, BankState, Error, Geometry, Picos, Request,
+    AddressMap, AddressMapKind, BandwidthReport, Error, Geometry, Location, Picos, Request,
     RequestOutcome, Result, RunPacing, RunServed, Stats, TimingParams, TraceOp, TraceRun,
-    TraceTrain, VaultController,
+    TraceTrain, VaultController, VaultLease,
 };
 
 /// Femtoseconds per picosecond (the driver's kernel clock runs in
 /// integer femtoseconds; see `fft2d::run_phase`).
-const FS_PER_PS: u128 = 1_000;
+pub(crate) const FS_PER_PS: u128 = 1_000;
 
 /// The latest arrival [`MemorySystem::service_burst`] accepts: half the
 /// [`Picos`] range, about 106 simulated days. The controllers add
 /// service times to an arrival, so an arrival near [`Picos::MAX`] would
 /// overflow their clocks; below this ceiling they would have to serve
 /// another 106 days of traffic first.
-const MAX_ARRIVAL: Picos = Picos(u64::MAX / 2);
+pub(crate) const MAX_ARRIVAL: Picos = Picos(u64::MAX / 2);
 
 /// What the skip-ahead span classifier
 /// ([`MemorySystem::service_paced_span`]) decided about a pulled run or
@@ -71,128 +72,6 @@ pub enum ServicePath {
     Reference,
 }
 
-#[cfg(test)]
-thread_local! {
-    /// Runs the span classes served on this thread (one per call of
-    /// the fused per-run loops), so tests can prove the cross-run jump
-    /// engages.
-    static SERVED_RUNS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// The state of a train's touched banks and vaults at one run
-/// boundary.
-#[derive(Clone, Default)]
-struct Boundary {
-    /// The run's latest completion.
-    done: Picos,
-    /// The kernel clock, in fs.
-    t_fs: u128,
-    banks: Vec<BankState>,
-    vaults: Vec<VaultClocks>,
-    /// Each touched vault's statistics (not compared: the difference
-    /// of two boundaries is one run's delta).
-    stats: Vec<Stats>,
-}
-
-impl Boundary {
-    /// `Some(Δ)` when `next`, one run later, is this state shifted by
-    /// Δ = the gap between the two runs' latest completions: the open
-    /// rows are the same, the kernel clock moved by exactly Δ, and every
-    /// other time either moved by exactly Δ (the run wrote it) or did
-    /// not move (the run never wrote it — and with the same open rows,
-    /// no later run will, nor read it; writes always move a time).
-    fn shift_to(&self, next: &Boundary) -> Option<u64> {
-        let delta = next
-            .done
-            .as_ps()
-            .checked_sub(self.done.as_ps())
-            .filter(|&d| d > 0)?;
-        let moved = |a: Picos, b: Picos| a == b || a.as_ps().checked_add(delta) == Some(b.as_ps());
-        let moved_opt = |a: Option<Picos>, b: Option<Picos>| match (a, b) {
-            (Some(a), Some(b)) => moved(a, b),
-            (a, b) => a == b,
-        };
-        let banks = self.banks.iter().zip(&next.banks).all(|(a, b)| {
-            a.open_row == b.open_row
-                && moved_opt(a.last_activate, b.last_activate)
-                && moved_opt(a.last_column, b.last_column)
-        });
-        let vaults = self.vaults.iter().zip(&next.vaults).all(|(a, b)| {
-            let gate = match (a.0, b.0) {
-                (Some((ta, la, ba)), Some((tb, lb, bb))) => (la, ba) == (lb, bb) && moved(ta, tb),
-                (a, b) => a == b,
-            };
-            gate && moved(a.1, b.1)
-        });
-        let kernel = self.t_fs.checked_add(u128::from(delta) * FS_PER_PS) == Some(next.t_fs);
-        (kernel && banks && vaults).then_some(delta)
-    }
-}
-
-/// Scratch for the cross-run steady-state jump, sized at construction
-/// so a train never allocates: the banks and vaults a train's runs
-/// touch and the state at the last two run boundaries. It holds no
-/// simulated state, so `Debug` leaves it out of the device's
-/// observables.
-#[derive(Clone)]
-struct TrainScratch {
-    /// Touched banks as (vault, bank within the vault), first touch
-    /// first.
-    banks: Vec<(usize, usize)>,
-    /// Touched vaults, first touch first.
-    vaults: Vec<usize>,
-    /// Membership flags by flat bank index and by vault; all clear
-    /// between trains.
-    bank_seen: Vec<bool>,
-    vault_seen: Vec<bool>,
-    prev: Boundary,
-    cur: Boundary,
-    /// The touched vaults' statistics after a jump, checked before any
-    /// of them is installed.
-    jumped: Vec<Stats>,
-}
-
-impl TrainScratch {
-    fn new(geom: &Geometry) -> Self {
-        let banks = geom.vaults * geom.banks_per_vault();
-        let boundary = || Boundary {
-            banks: Vec::with_capacity(banks),
-            vaults: Vec::with_capacity(geom.vaults),
-            stats: Vec::with_capacity(geom.vaults),
-            ..Boundary::default()
-        };
-        TrainScratch {
-            banks: Vec::with_capacity(banks),
-            vaults: Vec::with_capacity(geom.vaults),
-            // simlint::allow(H001): system construction — sized once per device, never per request
-            bank_seen: vec![false; banks],
-            // simlint::allow(H001): system construction — sized once per device, never per request
-            vault_seen: vec![false; geom.vaults],
-            prev: boundary(),
-            cur: boundary(),
-            jumped: Vec::with_capacity(geom.vaults),
-        }
-    }
-}
-
-impl std::fmt::Debug for TrainScratch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TrainScratch").finish_non_exhaustive()
-    }
-}
-
-/// Whether a run served with the kernel clock going from `start_fs` to
-/// `end_fs` under `pacing` is shift-covariant: every beat's arrival was
-/// the raw reading `(t_kernel_fs − window_fs) / 1000` — the window
-/// subtraction did not saturate, the reading was not floored, and it
-/// fit a [`Picos`]. The clock only grows, so checking both ends covers
-/// every beat.
-fn covariant(pacing: &RunPacing, start_fs: u128, end_fs: u128) -> bool {
-    let raw = |t: u128| t.checked_sub(pacing.window_fs).map(|r| r / FS_PER_PS);
-    raw(start_fs).is_some_and(|r| r >= u128::from(pacing.floor.as_ps()))
-        && raw(end_fs).is_some_and(|r| u64::try_from(r).is_ok())
-}
-
 /// The complete 3D memory device: one [`VaultController`] per vault, all
 /// sharing a [`Geometry`] and [`TimingParams`].
 ///
@@ -212,7 +91,10 @@ pub struct MemorySystem {
     /// Cached `geom.capacity_bytes()` for per-burst bounds checks.
     capacity: u64,
     path: ServicePath,
-    train: TrainScratch,
+    /// The jump engine's scratch for same-bank spans (periods of one
+    /// beat) and for trains (periods of one run), which nest.
+    beat_jump: Jump,
+    train_jump: Jump,
 }
 
 impl MemorySystem {
@@ -247,7 +129,8 @@ impl MemorySystem {
             maps: AddressMapKind::ALL.map(|k| AddressMap::new(k, geom)),
             capacity: geom.capacity_bytes(),
             path: ServicePath::Fast,
-            train: TrainScratch::new(&geom),
+            beat_jump: Jump::new(&geom),
+            train_jump: Jump::new(&geom),
         })
     }
 
@@ -474,10 +357,9 @@ impl MemorySystem {
     /// 1. **Same-bank ascending-row spans** — refresh off and
     ///    [`AddressMap::stride_run_location`] proves every beat is a row
     ///    miss in one bank with strictly ascending rows (the baseline's
-    ///    strided column sweep): the bank stretch resolves in the
-    ///    controller's closed-form fused loop, which jumps over
-    ///    its own steady state once consecutive beats repeat shifted by
-    ///    a constant; a run crossing into the next bank is served
+    ///    strided column sweep): the bank stretch is a periodic span of
+    ///    one-beat periods, each advancing the bank's open row by the
+    ///    stride's row step; a run crossing into the next bank is served
     ///    stretch by stretch.
     /// 2. **Per-beat spans** — whole-row strides whose beats hop
     ///    banks/layers/vaults each beat (the optimized DDL layouts'
@@ -498,21 +380,13 @@ impl MemorySystem {
     /// driver). Decode depends only on `addr / row_bytes`, so every run
     /// of such a train visits the same vaults, banks and rows in the
     /// same order on every map, and the device advances by one fixed
-    /// function of the state per run. With refresh off, each run
-    /// boundary records the touched banks and vaults — open rows, bank
-    /// activate and column times, the vault activate gate, the TSV-free
-    /// time and the kernel clock, measured back from the run's latest
-    /// completion. When two consecutive boundaries are the same state
-    /// and every arrival of the later run was the raw kernel-clock
-    /// reading (the class-1 covariance conditions), every later run
-    /// repeats that run shifted by Δ, the gap between the two
-    /// completions, and the train jumps *k* runs in closed form: *k*·Δ
-    /// on the touched clocks and the kernel clock, *k* times the run's
-    /// per-vault statistics delta. *k* stops before the run holding
-    /// [`RunPacing::probe_beat`], before the first run whose latest
-    /// completion would pass [`RunPacing::horizon`], and wherever the
-    /// arithmetic would overflow. Untouched banks and vaults are never
-    /// read by the train, so they need no shift.
+    /// function of the state per run: a train is a periodic span of
+    /// one-run periods that advance no rows.
+    ///
+    /// Both periodic spans jump over their steady state in closed form
+    /// with refresh off: the steady-state jump, whose theorem, snapshot,
+    /// covariance conditions, caps and exactness argument DESIGN.md
+    /// states once ("The steady-state jump").
     ///
     /// Everything else falls back: [`SpanOutcome::Step`] when only the
     /// current position blocks fusion (one scalar beat, then retry),
@@ -524,10 +398,10 @@ impl MemorySystem {
     /// fewer beats than either class could prove — zero included. A
     /// `Served` span's beats count from the train's first beat, and so
     /// does [`RunPacing::probe_beat`]. Both classes also serve the beats
-    /// [`RunPacing::lease`] covers ([`RunServed::leased`] counts them);
-    /// the cross-run jump declines the lease — it only jumps runs whose
-    /// every beat is granted before the horizon, which use no pick — so
-    /// a leased train is served run by run.
+    /// [`RunPacing::lease`] covers ([`RunServed::leased`] counts them),
+    /// and stop before the first beat arriving past `u64::MAX / 2` ps:
+    /// the driver's scalar beat then returns
+    /// [`service_burst`](Self::service_burst)'s error for it.
     ///
     /// Every fused span is bit-identical — in outcomes, statistics and
     /// controller state — to the driver's scalar per-beat loop under
@@ -556,10 +430,10 @@ impl MemorySystem {
     }
 
     /// Serves runs 1 to `repeats` of `train` after its first (already
-    /// served as `head`) through [`span_run`](Self::span_run), jumping
-    /// over the train's steady state (see
-    /// [`service_paced_span`](Self::service_paced_span)). Stops at the
-    /// first run not served whole.
+    /// served as `head`) through [`span_run`](Self::span_run), as a
+    /// periodic span of one-run periods that advance no rows (DESIGN.md,
+    /// "The steady-state jump"). Stops at the first run not served
+    /// whole.
     fn serve_train(
         &mut self,
         map_kind: AddressMapKind,
@@ -568,19 +442,88 @@ impl MemorySystem {
         pacing: &RunPacing,
         head: RunServed,
     ) -> RunServed {
-        let beats = train.run.beats;
-        let jump =
-            repeats >= 2 && !self.timing.refresh_enabled() && self.touch(map_kind, train.run);
-        let mut acc = head;
-        if jump {
-            self.mark_boundary(acc.last_done, acc.t_kernel_fs);
-            std::mem::swap(&mut self.train.prev, &mut self.train.cur);
-        }
-        let mut m = 1;
-        while m <= repeats {
-            let Some(run) = train.run.moved(u64::from(m) * train.step) else {
-                break;
-            };
+        let run = train.run;
+        let map = self.maps[map_kind.index()];
+        let beats = std::iter::successors(Some(run.op.addr), |a| Some(a.wrapping_add(run.stride)))
+            .take(run.beats as usize)
+            .map(|addr| map.decode(addr));
+        let span = Span {
+            periods: repeats + 1,
+            beats: run.beats,
+            row_advance: 0,
+        };
+        let mut jump = std::mem::take(&mut self.train_jump);
+        jump.start(&self.controllers, span, beats, run.op, &head);
+        let served = self.serve_periods(&mut jump, pacing, head, |m, i, p| {
+            match m.span_run(map_kind, run.moved(u64::from(i) * train.step)?, p) {
+                SpanOutcome::Served(s) => Some(s),
+                _ => None,
+            }
+        });
+        self.train_jump = jump;
+        served
+    }
+
+    /// Serves a **same-bank stretch**: `beats` beats of `op` from `loc`,
+    /// beat *i* in row `loc.row + i·row_step` of the same bank, as a
+    /// periodic span of one-beat periods that each advance the bank's
+    /// open row by `row_step` (DESIGN.md, "The steady-state jump").
+    /// Stops before the first beat [`RunPacing::admits`] refuses.
+    fn serve_same_bank(
+        &mut self,
+        loc: Location,
+        op: TraceOp,
+        row_step: usize,
+        beats: u32,
+        pacing: &RunPacing,
+    ) -> RunServed {
+        let head = RunServed {
+            beats: 0,
+            t_kernel_fs: pacing.t_kernel_fs,
+            last_done: Picos::ZERO,
+            probe_done: None,
+            leased: 0,
+        };
+        let span = Span {
+            periods: beats,
+            beats: 1,
+            row_advance: row_step,
+        };
+        let mut jump = std::mem::take(&mut self.beat_jump);
+        jump.start(&self.controllers, span, std::iter::once(Ok(loc)), op, &head);
+        let served = self.serve_periods(&mut jump, pacing, head, |m, i, p| {
+            let row = loc.row + i as usize * row_step;
+            let (mut t_fs, mut lease) = (p.t_kernel_fs, p.lease);
+            let done = m.paced_beat(Location { row, ..loc }, op, p, &mut t_fs, &mut lease)?;
+            Some(RunServed {
+                beats: 1,
+                t_kernel_fs: t_fs,
+                last_done: done,
+                probe_done: (p.probe_beat == Some(0)).then_some(done),
+                leased: picks_used(p.lease, lease),
+            })
+        });
+        self.beat_jump = jump;
+        served
+    }
+
+    /// Serves the periods after `head` of the span `jump` was started
+    /// on, period *i* through `serve(self, i, pacing)` with the pacing
+    /// law moved past the beats served so far (`None`: not served),
+    /// folding each into `head`; after each whole period, `jump` may
+    /// jump over the span's steady state. Stops at the first period not
+    /// served whole.
+    fn serve_periods(
+        &mut self,
+        jump: &mut Jump,
+        pacing: &RunPacing,
+        mut acc: RunServed,
+        mut serve: impl FnMut(&mut Self, u32, &RunPacing) -> Option<RunServed>,
+    ) -> RunServed {
+        let span = jump.span();
+        // `acc` holds whole periods.
+        let mut i = acc.beats / span.beats;
+        while i < span.periods {
             let start_fs = acc.t_kernel_fs;
             let p = RunPacing {
                 t_kernel_fs: start_fs,
@@ -590,7 +533,7 @@ impl MemorySystem {
                 lease: pacing.lease.map(|l| l.after(acc.leased)),
                 ..*pacing
             };
-            let SpanOutcome::Served(s) = self.span_run(map_kind, run, &p) else {
+            let Some(s) = serve(self, i, &p) else {
                 break;
             };
             acc.beats += s.beats;
@@ -598,33 +541,42 @@ impl MemorySystem {
             acc.t_kernel_fs = s.t_kernel_fs;
             acc.last_done = acc.last_done.max(s.last_done);
             acc.probe_done = acc.probe_done.or(s.probe_done);
-            m += 1;
-            if s.beats < beats {
+            if s.beats < span.beats {
                 break;
             }
-            if !jump {
-                continue;
-            }
-            self.mark_boundary(s.last_done, acc.t_kernel_fs);
-            // The run just served repeated the one before, shifted, and
-            // so will every later run: jump as many as the train, the
-            // probe and the horizon allow.
-            let shift = self.train.prev.shift_to(&self.train.cur);
-            if let Some(delta) = shift.filter(|_| covariant(pacing, start_fs, acc.t_kernel_fs)) {
-                let mut k = repeats + 1 - m;
-                if let Some(ahead) = pacing
-                    .probe_beat
-                    .and_then(|b| b.checked_sub(u64::from(acc.beats)))
-                {
-                    k = k.min(u32::try_from(ahead / u64::from(beats)).unwrap_or(u32::MAX));
-                }
-                if let Some(j) = self.jump_runs(k, delta, beats, pacing, &mut acc) {
-                    m += j;
-                }
-            }
-            std::mem::swap(&mut self.train.prev, &mut self.train.cur);
+            jump.after_period(&mut self.controllers, &s, start_fs, pacing, &mut acc);
+            i = acc.beats / span.beats;
         }
         acc
+    }
+
+    /// Serves one beat of `op` at `loc` under `pacing`, issued with the
+    /// kernel clock at `t_fs`, if [`RunPacing::admits`] it (drawing a
+    /// leased pick from `lease`): returns its completion and advances
+    /// `t_fs` exactly as the driver's scalar beat does.
+    fn paced_beat(
+        &mut self,
+        loc: Location,
+        op: TraceOp,
+        pacing: &RunPacing,
+        t_fs: &mut u128,
+        lease: &mut Option<VaultLease>,
+    ) -> Option<Picos> {
+        let c = &mut self.controllers[loc.vault];
+        let at = pacing.arrival(*t_fs);
+        if !pacing.admits(lease, loc.vault, op.bytes, at, c.tsv_free_at) {
+            return None;
+        }
+        let done = c
+            .service(Request {
+                loc,
+                bytes: op.bytes,
+                dir: op.dir,
+                at,
+            })
+            .done;
+        *t_fs = (*t_fs).max(done.as_ps() as u128 * FS_PER_PS) + pacing.op_fs;
+        Some(done)
     }
 
     /// How many runs after the first of `train` keep every beat inside
@@ -654,123 +606,6 @@ impl MemorySystem {
         }
     }
 
-    /// Collects the banks and vaults `run`'s beats touch into the train
-    /// scratch. `false` if a beat fails to decode.
-    fn touch(&mut self, map_kind: AddressMapKind, run: TraceRun) -> bool {
-        let map = self.maps[map_kind.index()];
-        let bpv = self.geom.banks_per_vault();
-        let s = &mut self.train;
-        s.banks.clear();
-        s.vaults.clear();
-        let mut addr = run.op.addr;
-        let mut ok = true;
-        for _ in 0..run.beats {
-            let Ok(loc) = map.decode(addr) else {
-                ok = false;
-                break;
-            };
-            let bank = loc.bank_in_vault(&self.geom);
-            let flat = loc.vault * bpv + bank;
-            if !s.bank_seen[flat] {
-                s.bank_seen[flat] = true;
-                s.banks.push((loc.vault, bank));
-            }
-            if !s.vault_seen[loc.vault] {
-                s.vault_seen[loc.vault] = true;
-                s.vaults.push(loc.vault);
-            }
-            addr = addr.wrapping_add(run.stride);
-        }
-        for &(v, b) in &s.banks {
-            s.bank_seen[v * bpv + b] = false;
-        }
-        for &v in &s.vaults {
-            s.vault_seen[v] = false;
-        }
-        ok
-    }
-
-    /// Records the touched banks and vaults into the train scratch's
-    /// current boundary: the run's latest completion `done` and the
-    /// kernel clock `t_fs`.
-    fn mark_boundary(&mut self, done: Picos, t_fs: u128) {
-        let Self {
-            controllers, train, ..
-        } = self;
-        let b = &mut train.cur;
-        b.done = done;
-        b.t_fs = t_fs;
-        b.banks.clear();
-        for &(v, bank) in &train.banks {
-            b.banks.push(controllers[v].bank_state(bank));
-        }
-        b.vaults.clear();
-        b.stats.clear();
-        for &v in &train.vaults {
-            b.vaults.push(controllers[v].clocks());
-            b.stats.push(*controllers[v].stats());
-        }
-    }
-
-    /// Jumps at most `k` more runs of a train whose last run repeated
-    /// the one before shifted by `delta` (the train scratch's `prev` and
-    /// `cur` boundaries), folding them into `acc` and re-marking the
-    /// current boundary. Each run is `beats` beats long. Returns how
-    /// many runs it jumped, or `None` if no jump was taken (zero runs
-    /// fit, or the arithmetic would overflow).
-    fn jump_runs(
-        &mut self,
-        k: u32,
-        delta: u64,
-        beats: u32,
-        pacing: &RunPacing,
-        acc: &mut RunServed,
-    ) -> Option<u32> {
-        let done = self.train.cur.done;
-        // The jumped runs' grants stay before the horizon: each beat is
-        // granted before it completes, so the last jumped run's latest
-        // completion at or before the horizon suffices.
-        let fit = pacing.horizon.as_ps().checked_sub(done.as_ps())? / delta;
-        let k = k.min(u32::try_from(fit).unwrap_or(u32::MAX));
-        if k == 0 {
-            return None;
-        }
-        let by = delta.checked_mul(u64::from(k))?;
-        // Every time of a touched vault is at most its TSV-free time,
-        // which is at most `done`: this bounds every shifted time.
-        let done_k = Picos(done.as_ps().checked_add(by)?);
-        let t_fs_k = acc.t_kernel_fs.checked_add(u128::from(by) * FS_PER_PS)?;
-        // Every jumped arrival stays a raw reading that fits a Picos.
-        u64::try_from(t_fs_k.checked_sub(pacing.window_fs)? / FS_PER_PS).ok()?;
-        let Self {
-            controllers, train, ..
-        } = self;
-        train.jumped.clear();
-        for (&v, before) in train.vaults.iter().zip(&train.prev.stats) {
-            train
-                .jumped
-                .push(controllers[v].stats().plus_repeats(u64::from(k), before)?);
-        }
-        let by = Picos(by);
-        for (&(v, bank), before) in train.banks.iter().zip(&train.prev.banks) {
-            controllers[v].shift_bank(bank, before, by);
-        }
-        for ((&v, before), &stats) in train
-            .vaults
-            .iter()
-            .zip(&train.prev.vaults)
-            .zip(&train.jumped)
-        {
-            controllers[v].shift_vault(before, by, stats);
-        }
-        // `serve_train` capped the train's beats at `u32::MAX`.
-        acc.beats += k * beats;
-        acc.t_kernel_fs = t_fs_k;
-        acc.last_done = done_k;
-        self.mark_boundary(done_k, t_fs_k);
-        Some(k)
-    }
-
     /// One run through the span classes (see
     /// [`service_paced_span`](Self::service_paced_span)).
     fn span_run(
@@ -788,23 +623,16 @@ impl MemorySystem {
         if run.op.addr % row_bytes + run.op.bytes as u64 > row_bytes {
             return SpanOutcome::Scalar;
         }
-        // Class 1: same-bank ascending rows, closed form (refresh
-        // windows would interleave the fused schedule, so they decline).
+        // Class 1: same-bank ascending rows (the jump needs refresh
+        // off, so refresh windows decline the class).
         if !self.timing.refresh_enabled() {
             if let Some((loc, row_step, fit)) =
                 self.maps[map_kind.index()].stride_run_location(run.op.addr, run.stride, run.beats)
             {
                 if fit >= 2 {
-                    #[cfg(test)]
-                    SERVED_RUNS.with(|n| n.set(n.get() + 1));
-                    return SpanOutcome::Served(self.controllers[loc.vault].service_paced_run(
-                        loc,
-                        run.op.bytes,
-                        run.op.dir,
-                        row_step,
-                        fit,
-                        pacing,
-                    ));
+                    return SpanOutcome::Served(
+                        self.serve_same_bank(loc, run.op, row_step, fit, pacing),
+                    );
                 }
                 // One beat left in this bank stretch: serve it scalar,
                 // then the next stretch fuses.
@@ -825,8 +653,6 @@ impl MemorySystem {
         let span = (run.beats as u64 - 1).checked_mul(stride);
         let end = span.and_then(|s| run.op.addr.checked_add(s + run.op.bytes as u64 - 1));
         if in_row && end.is_some_and(|e| e < self.capacity) {
-            #[cfg(test)]
-            SERVED_RUNS.with(|n| n.set(n.get() + 1));
             return SpanOutcome::Served(self.service_paced_xrun(map_kind, run, pacing));
         }
         SpanOutcome::Scalar
@@ -838,13 +664,11 @@ impl MemorySystem {
     /// calling [`service_burst`](Self::service_burst) once per beat —
     /// the same decode and the same per-beat controller schedule — but
     /// with the pacing law replicated in-register and none of the
-    /// per-beat driver/stream bookkeeping. Unlike the same-bank closed
-    /// form this keeps the full per-beat schedule, so contention
-    /// boundaries (refresh windows, TSV saturation crossings, bank
-    /// conflicts) resolve inside it without a fallback. It stops before
-    /// the first beat whose grant on its vault reaches
-    /// [`RunPacing::horizon`] and which [`RunPacing::lease`] does not
-    /// cover.
+    /// per-beat driver/stream bookkeeping. It keeps the full per-beat
+    /// schedule, so contention boundaries (refresh windows, TSV
+    /// saturation crossings, bank conflicts) resolve inside it without
+    /// a fallback. It stops before the first beat
+    /// [`RunPacing::admits`] refuses.
     ///
     /// Preconditions (caller-checked): fast path, `beats ≥ 2`,
     /// `bytes > 0`, every beat inside one row, whole run inside the
@@ -865,29 +689,16 @@ impl MemorySystem {
         let mut last_done = Picos::ZERO;
         let mut served = 0;
         for i in 0..run.beats as u64 {
-            let at = Picos::from_fs_clock(t_fs.saturating_sub(pacing.window_fs)).max(pacing.floor);
             // simlint::allow(P001): the whole run was bounds-checked by
             // `service_paced_span`, so every beat address decodes.
             let loc = map.decode(addr).expect("in-bounds beat");
-            let tsv_free = self.controllers[loc.vault].tsv_free_at();
-            if at.max(tsv_free) >= pacing.horizon
-                && !lease
-                    .as_mut()
-                    .is_some_and(|l| l.take(loc.vault, run.op.bytes, at, tsv_free))
-            {
+            let Some(done) = self.paced_beat(loc, run.op, pacing, &mut t_fs, &mut lease) else {
                 break;
-            }
+            };
             served += 1;
-            let out = self.controllers[loc.vault].service(Request {
-                loc,
-                bytes: run.op.bytes,
-                dir: run.op.dir,
-                at,
-            });
-            t_fs = t_fs.max(out.done.as_ps() as u128 * FS_PER_PS) + pacing.op_fs;
-            last_done = last_done.max(out.done);
+            last_done = last_done.max(done);
             if pacing.probe_beat == Some(i) {
-                probe_done = Some(out.done);
+                probe_done = Some(done);
             }
             addr += run.stride;
         }
@@ -935,7 +746,7 @@ impl MemorySystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Direction, VaultLease};
+    use crate::Direction;
 
     fn sys() -> MemorySystem {
         MemorySystem::new(Geometry::default(), TimingParams::default())
@@ -1092,6 +903,326 @@ mod tests {
         pacing: &RunPacing,
     ) -> RunServed {
         drive_from(m, kind, train, pacing, 0)
+    }
+
+    /// A same-bank stretch in vault 0 on the chunked map: `beats` beats
+    /// of `bytes` bytes from `loc`, beat *i* in row `loc.row + i·row_step`.
+    fn same_bank_run(
+        loc: Location,
+        bytes: u32,
+        dir: Direction,
+        row_step: usize,
+        beats: u32,
+    ) -> TraceRun {
+        let geom = Geometry::default();
+        let map = AddressMap::new(AddressMapKind::Chunked, geom);
+        TraceRun {
+            op: TraceOp {
+                addr: map.encode(loc).unwrap(),
+                bytes,
+                dir,
+            },
+            beats,
+            stride: (row_step * geom.row_bytes) as u64,
+        }
+    }
+
+    /// `service_paced_span` over a same-bank stretch must equal
+    /// [`scalar_span`] — in the served prefix, the returned clock and
+    /// completion times, the statistics, the whole device state and all
+    /// subsequent scheduling behaviour (probed with follow-up requests).
+    /// Returns the served prefix and how many beats the jump engine saw
+    /// served one by one.
+    fn assert_same_bank_matches_scalar(
+        mut m: MemorySystem,
+        loc: Location,
+        bytes: u32,
+        dir: Direction,
+        row_step: usize,
+        beats: u32,
+        pacing: RunPacing,
+    ) -> (RunServed, u64) {
+        let kind = AddressMapKind::Chunked;
+        let run = same_bank_run(loc, bytes, dir, row_step, beats);
+        let mut scalar = m.clone();
+        let before = m.beat_jump.periods;
+        let outcome = m.service_paced_span(kind, run.into(), &pacing);
+        let stepped = m.beat_jump.periods - before;
+        let SpanOutcome::Served(served) = outcome else {
+            panic!("{run:?} must fuse, got {outcome:?}");
+        };
+        let (expect, _) = scalar_span(&mut scalar, kind, run.into(), &pacing);
+        assert_eq!(served, expect, "served prefix diverged");
+        assert_eq!(m.stats(), scalar.stats(), "statistics diverged");
+        assert_eq!(
+            format!("{m:?}"),
+            format!("{scalar:?}"),
+            "device state diverged"
+        );
+        // State must be indistinguishable afterwards: probe the run's
+        // bank (open row, then a conflict) and a different layer.
+        let map = *m.address_map(kind);
+        for probe_loc in [
+            Location {
+                row: loc.row + (served.beats.max(1) as usize - 1) * row_step,
+                col: 0,
+                ..loc
+            },
+            Location {
+                row: 0,
+                col: 0,
+                ..loc
+            },
+            Location {
+                layer: (loc.layer + 1) % 2,
+                row: 3,
+                col: 0,
+                ..loc
+            },
+        ] {
+            let op = TraceOp {
+                addr: map.encode(probe_loc).unwrap(),
+                bytes: 64,
+                dir,
+            };
+            assert_eq!(
+                m.service_burst(kind, op, Picos::ZERO).unwrap(),
+                scalar.service_burst(kind, op, Picos::ZERO).unwrap(),
+                "follow-up diverged"
+            );
+        }
+        assert_eq!(m.stats(), scalar.stats());
+        (served, stepped)
+    }
+
+    /// A device with a few random prior requests somewhere in vault 0.
+    fn warmed_sys(rng: &mut sim_util::SimRng) -> MemorySystem {
+        let geom = Geometry::default();
+        let map = AddressMap::new(AddressMapKind::Chunked, geom);
+        let mut m = sys();
+        for _ in 0..rng.gen_range(0usize..4) {
+            let warm = Location {
+                vault: 0,
+                layer: rng.gen_range(0usize..geom.layers),
+                bank: rng.gen_range(0usize..geom.banks_per_layer),
+                row: rng.gen_range(0usize..64),
+                col: 0,
+            };
+            let at = Picos(rng.gen_range(0u64..1 << 20));
+            m.service_burst(
+                AddressMapKind::Chunked,
+                read(map.encode(warm).unwrap(), 64),
+                at,
+            )
+            .unwrap();
+        }
+        m
+    }
+
+    /// A random same-bank stretch start in vault 0.
+    fn random_loc(rng: &mut sim_util::SimRng) -> Location {
+        let geom = Geometry::default();
+        Location {
+            vault: 0,
+            layer: rng.gen_range(0usize..geom.layers),
+            bank: rng.gen_range(0usize..geom.banks_per_layer),
+            row: rng.gen_range(0usize..32),
+            col: rng.gen_range(0u32..64) * 8,
+        }
+    }
+
+    #[test]
+    fn paced_run_matches_scalar_driver_law() {
+        use sim_util::prop_check;
+        prop_check!(cases: 64, |rng| {
+            let m = warmed_sys(rng);
+            let beats = rng.gen_range(2u32..40);
+            let row_step = rng.gen_range(1usize..4);
+            let loc = random_loc(rng);
+            let bytes = 1 << rng.gen_range(0u32..7);
+            let dir = if rng.gen_bool() { Direction::Read } else { Direction::Write };
+            let pacing = RunPacing {
+                t_kernel_fs: rng.gen_range(0u64..1 << 50) as u128,
+                window_fs: rng.gen_range(0u64..1 << 45) as u128,
+                op_fs: rng.gen_range(0u64..1 << 20) as u128,
+                floor: Picos(rng.gen_range(0u64..1 << 30)),
+                probe_beat: rng.gen_bool().then(|| rng.gen_range(0u64..beats as u64)),
+                horizon: Picos::MAX,
+                lease: None,
+            };
+            let (served, _) = assert_same_bank_matches_scalar(m, loc, bytes, dir, row_step, beats, pacing);
+            assert_eq!(served.beats, beats, "an unbounded horizon serves every beat");
+        });
+    }
+
+    #[test]
+    fn long_paced_runs_jump_exactly() {
+        // Runs long enough to reach their steady state and jump: from
+        // memory-bound, kernel-bound and floor-bound starts, with
+        // sub-picosecond kernel rates, a latency probe anywhere (most
+        // often inside the would-be jump) and horizons exactly at, just
+        // before and just after a late beat's grant — or leases whose
+        // picks, ready bound and horizon sit there. A third of the cases
+        // each: no horizon, a horizon, a lease.
+        use sim_util::prop_check;
+        prop_check!(cases: 96, |rng| {
+            let m = warmed_sys(rng);
+            let beats = rng.gen_range(200u32..4000);
+            let row_step = rng.gen_range(1usize..3);
+            let loc = random_loc(rng);
+            let bytes = 1 << rng.gen_range(0u32..7);
+            let dir = if rng.gen_bool() { Direction::Read } else { Direction::Write };
+            // A remainder that keeps `op_fs` off whole picoseconds.
+            let frac = if rng.gen_bool() { rng.gen_range(1u64..1000) } else { 0 };
+            let (t_kernel_fs, window_fs, op_ps, floor) = match rng.gen_range(0usize..3) {
+                // Memory-bound: a beat is consumed far faster than the
+                // bank re-activates (t_diff_row = 20 ns).
+                0 => (
+                    rng.gen_range(0u64..1 << 40),
+                    rng.gen_range(0u64..1 << 40),
+                    rng.gen_range(0u64..10_000),
+                    Picos(rng.gen_range(0u64..1 << 20)),
+                ),
+                // Kernel-bound: consumption outlasts t_diff_row.
+                1 => (
+                    rng.gen_range(0u64..1 << 40),
+                    rng.gen_range(0u64..1 << 30),
+                    rng.gen_range(21_000u64..200_000),
+                    Picos(rng.gen_range(0u64..1 << 20)),
+                ),
+                // Floor-bound start: a late phase start pins the
+                // arrivals — for up to thousands of beats, while the
+                // kernel clock catches up with the window.
+                _ => {
+                    let window = rng.gen_range(1u64 << 30..1 << 37);
+                    (
+                        window + rng.gen_range(0u64..1 << 30),
+                        window,
+                        rng.gen_range(0u64..40_000),
+                        Picos(rng.gen_range(1u64 << 20..1 << 30)),
+                    )
+                }
+            };
+            let mut pacing = RunPacing {
+                t_kernel_fs: t_kernel_fs as u128,
+                window_fs: window_fs as u128,
+                op_fs: op_ps as u128 * 1_000 + frac as u128,
+                floor,
+                probe_beat: rng.gen_bool().then(|| rng.gen_range(0u64..beats as u64)),
+                horizon: Picos::MAX,
+                lease: None,
+            };
+            let near = |rng: &mut sim_util::SimRng, t: Picos| match rng.gen_range(0usize..3) {
+                0 => t,
+                1 => t + Picos(1),
+                _ => t.saturating_sub(Picos(1)),
+            };
+            let run = same_bank_run(loc, bytes, dir, row_step, beats);
+            let (_, beats_at) = scalar_span(&mut m.clone(), AddressMapKind::Chunked, run.into(), &pacing);
+            let late = rng.gen_range(beats_at.len() / 2..beats_at.len());
+            match rng.gen_range(0usize..3) {
+                0 => {}
+                1 => pacing.horizon = near(rng, beats_at[late].2),
+                // Leased: the horizon admits at most the first quarter
+                // of the run, and the lease's picks, ready bound and
+                // horizon each sit at, or one off, a late beat's — or
+                // do not bind.
+                _ => {
+                    pacing.horizon = match rng.gen_range(0usize..2) {
+                        0 => Picos::ZERO,
+                        _ => beats_at[rng.gen_range(0..beats_at.len() / 4)].2,
+                    };
+                    let bound = |rng: &mut sim_util::SimRng, t: Picos| {
+                        if rng.gen_bool() { near(rng, t) } else { Picos::MAX }
+                    };
+                    pacing.lease = Some(VaultLease {
+                        vault: if rng.gen_range(0usize..16) == 0 { 1 } else { 0 },
+                        bytes: if rng.gen_range(0usize..16) == 0 { bytes + 1 } else { bytes },
+                        picks: if rng.gen_bool() {
+                            near(rng, Picos(late as u64)).as_ps() as u32
+                        } else {
+                            u32::MAX
+                        },
+                        ready_by: bound(rng, beats_at[late].1),
+                        horizon: bound(rng, beats_at[late].2),
+                    });
+                }
+            }
+            assert_same_bank_matches_scalar(m, loc, bytes, dir, row_step, beats, pacing);
+        });
+    }
+
+    #[test]
+    fn steady_run_jumps_instead_of_stepping() {
+        // The baseline column shape: a memory-bound 4000-beat run, every
+        // beat a row miss one `t_diff_row` after the last. It must reach
+        // its steady state within a few beats and jump the rest — around
+        // the probe too — not step once per beat.
+        let pacing = RunPacing {
+            t_kernel_fs: 0,
+            window_fs: 0,
+            op_fs: 31_250,
+            floor: Picos::ZERO,
+            probe_beat: Some(2500),
+            horizon: Picos::MAX,
+            lease: None,
+        };
+        let loc = Location {
+            vault: 0,
+            layer: 1,
+            bank: 3,
+            row: 0,
+            col: 8,
+        };
+        let (served, looped) =
+            assert_same_bank_matches_scalar(sys(), loc, 8, Direction::Read, 2, 4000, pacing);
+        assert_eq!(served.beats, 4000);
+        assert!(served.probe_done.is_some());
+        assert!(
+            looped < 16,
+            "{looped} beats stepped for a 4000-beat steady run: the jump did not engage"
+        );
+    }
+
+    #[test]
+    fn leased_steady_run_jumps_too() {
+        // The baseline column shape again, but nothing is due on the
+        // horizon: every beat is a TSV tie served under a lease (the
+        // window keeps arrivals far ahead of the link). The jump must
+        // engage across leased beats and stop exactly at the picks.
+        let window_fs = 1u128 << 26;
+        let loc = Location {
+            vault: 0,
+            layer: 1,
+            bank: 3,
+            row: 0,
+            col: 8,
+        };
+        for picks in [u32::MAX, 2500] {
+            let pacing = RunPacing {
+                t_kernel_fs: window_fs,
+                window_fs,
+                op_fs: 31_250,
+                floor: Picos::ZERO,
+                probe_beat: None,
+                horizon: Picos::ZERO,
+                lease: Some(VaultLease {
+                    vault: 0,
+                    bytes: 8,
+                    picks,
+                    ready_by: Picos::MAX,
+                    horizon: Picos::MAX,
+                }),
+            };
+            let (served, looped) =
+                assert_same_bank_matches_scalar(sys(), loc, 8, Direction::Read, 2, 4000, pacing);
+            assert_eq!(served.beats, picks.min(4000));
+            assert_eq!(served.leased, served.beats, "every beat used a pick");
+            assert!(
+                looped < 16,
+                "{looped} beats stepped for a leased steady run: the jump did not engage"
+            );
+        }
     }
 
     #[test]
@@ -1349,8 +1480,8 @@ mod tests {
     /// Serves `train` under `pacing` (unbounded horizon) through the
     /// classifier on one clone of `base` and beat by beat on another:
     /// the served result, the statistics and the whole device state
-    /// must agree. Returns the result and how many runs the fused
-    /// per-run loops served.
+    /// must agree. Returns the result and how many runs the jump engine
+    /// saw served one by one.
     fn assert_train_matches_scalar(
         base: &MemorySystem,
         kind: AddressMapKind,
@@ -1358,10 +1489,9 @@ mod tests {
         pacing: &RunPacing,
     ) -> (RunServed, u64) {
         let (mut fused, mut scalar) = (base.clone(), base.clone());
-        let runs = || SERVED_RUNS.with(|n| n.get());
-        let before = runs();
+        let before = fused.train_jump.periods;
         let got = drive(&mut fused, kind, train, pacing);
-        let looped = runs() - before;
+        let looped = fused.train_jump.periods - before;
         let (expect, _) = scalar_span(&mut scalar, kind, train, pacing);
         assert_eq!(got, expect, "served train diverged");
         assert_eq!(fused.stats(), scalar.stats(), "statistics diverged");
@@ -1784,6 +1914,46 @@ mod tests {
             .service_burst(AddressMapKind::Chunked, read(0, 64), MAX_ARRIVAL)
             .unwrap();
         assert!(out.done > MAX_ARRIVAL);
+    }
+
+    #[test]
+    fn paced_spans_stop_before_arrivals_past_the_ceiling() {
+        // Arrivals past the ceiling used to reach the controllers' clocks
+        // through both fused classes — the same-bank stretch (chunked)
+        // and the vault-hopping per-beat span (vault-interleaved): a
+        // panic in debug builds, a wrapped time in release. The span
+        // stops before such a beat, as at a horizon, and the driver's
+        // scalar beat gets `service_burst`'s error for it.
+        let row = Geometry::default().row_bytes as u64;
+        let run = read_run(0, 8, 4, row);
+        for kind in [AddressMapKind::Chunked, AddressMapKind::VaultInterleaved] {
+            let mut m = sys();
+            let past = RunPacing {
+                t_kernel_fs: u128::from(u64::MAX - 10) * 1_000,
+                ..unwindowed()
+            };
+            let outcome = m.service_paced_span(kind, run.into(), &past);
+            assert!(
+                matches!(outcome, SpanOutcome::Served(s) if s.beats == 0),
+                "{kind:?}: {outcome:?}"
+            );
+            assert_eq!(m.stats().requests, 0);
+            let at = past.arrival(past.t_kernel_fs);
+            let r = m.service_burst(kind, run.op, at);
+            assert!(matches!(r, Err(Error::BadRequest(_))), "{kind:?}: {r:?}");
+            // A first beat at the ceiling is served; the next arrives
+            // past it.
+            let at_ceiling = RunPacing {
+                t_kernel_fs: u128::from(MAX_ARRIVAL.as_ps()) * 1_000,
+                ..unwindowed()
+            };
+            let outcome = m.service_paced_span(kind, run.into(), &at_ceiling);
+            assert!(
+                matches!(outcome, SpanOutcome::Served(s) if s.beats == 1),
+                "{kind:?}: {outcome:?}"
+            );
+            assert_eq!(m.stats().requests, 1);
+        }
     }
 
     #[test]
