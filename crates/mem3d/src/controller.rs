@@ -175,14 +175,18 @@ pub struct RunServed {
 pub struct VaultController {
     vault: usize,
     geom: Geometry,
-    pub(crate) timing: TimingParams,
-    pub(crate) banks: Vec<BankState>,
+    timing: TimingParams,
+    banks: Vec<BankState>,
     /// Most recent activate anywhere in the vault: (start, layer, bank).
-    pub(crate) last_vault_activate: Option<(Picos, usize, usize)>,
+    last_vault_activate: Option<(Picos, usize, usize)>,
     /// The TSV data link is busy until this time.
-    pub(crate) tsv_free_at: Picos,
-    pub(crate) stats: Stats,
+    tsv_free_at: Picos,
+    stats: Stats,
 }
+
+/// A vault's shared clocks: its most recent activate (start, layer,
+/// bank) and the time its TSV link frees.
+pub(crate) type VaultClocks = (Option<(Picos, usize, usize)>, Picos);
 
 impl VaultController {
     /// Creates an idle controller for vault `vault` of `geom`.
@@ -240,6 +244,47 @@ impl VaultController {
         self.last_vault_activate = None;
         self.tsv_free_at = Picos::ZERO;
         self.stats = Stats::default();
+    }
+
+    /// Bank `bank` (index within the vault).
+    pub(crate) fn bank_state(&self, bank: usize) -> BankState {
+        self.banks[bank]
+    }
+
+    /// The vault's shared clocks.
+    pub(crate) fn clocks(&self) -> VaultClocks {
+        (self.last_vault_activate, self.tsv_free_at)
+    }
+
+    /// Moves bank `bank` over a jump: its open row `rows` rows on, and
+    /// its activate and column times `by` later — each only where it
+    /// differs from `before`, the bank one period earlier: a time the
+    /// period did not write, no later period reads (DESIGN.md, "The
+    /// steady-state jump").
+    pub(crate) fn shift_bank(&mut self, bank: usize, before: &BankState, by: Picos, rows: usize) {
+        let b = &mut self.banks[bank];
+        b.open_row = b.open_row.map(|r| r + rows);
+        if b.last_activate != before.last_activate {
+            b.last_activate = b.last_activate.map(|t| t + by);
+        }
+        if b.last_column != before.last_column {
+            b.last_column = b.last_column.map(|t| t + by);
+        }
+    }
+
+    /// Moves the vault's shared clocks `by` later where they differ
+    /// from `before` (as [`shift_bank`](Self::shift_bank)) and installs
+    /// `stats`; `last_beat` follows the TSV-free time, the vault's
+    /// latest completion.
+    pub(crate) fn shift_vault(&mut self, before: &VaultClocks, by: Picos, stats: Stats) {
+        if self.last_vault_activate != before.0 {
+            self.last_vault_activate = self.last_vault_activate.map(|(t, l, b)| (t + by, l, b));
+        }
+        if self.tsv_free_at != before.1 {
+            self.tsv_free_at += by;
+        }
+        self.stats = stats;
+        self.stats.last_beat = self.stats.last_beat.max(self.tsv_free_at);
     }
 
     /// Earliest time an activate to (`layer`, `bank`) may start, given the

@@ -6,13 +6,10 @@
 //! beat advancing `row_step` rows for a same-bank stretch, one run
 //! advancing none for a train.
 
+use crate::controller::VaultClocks;
 use crate::system::{FS_PER_PS, MAX_ARRIVAL};
 use crate::{BankState, Direction, Geometry, Location, Picos, Result, RunPacing, RunServed};
-use crate::{Stats, TraceOp, VaultController};
-
-/// A vault's shared clocks: its most recent activate (start, layer,
-/// bank) and the time its TSV link frees.
-type VaultClocks = (Option<(Picos, usize, usize)>, Picos);
+use crate::{Stats, TimingParams, TraceOp, VaultController};
 
 /// The shape of a periodic span.
 #[derive(Debug, Clone, Copy, Default)]
@@ -80,11 +77,13 @@ impl Boundary {
 /// was the raw reading `(t_kernel_fs − window_fs) / 1000` — the window
 /// subtraction did not saturate, the reading was not floored, and it
 /// fit a [`Picos`]. The clock only grows, so checking both ends covers
-/// every beat.
+/// every beat. Compares in femtoseconds: a reading is at least `floor`
+/// exactly when `t_kernel_fs − window_fs ≥ floor·1000`, and fits a
+/// `u64` exactly when `t_kernel_fs − window_fs < 2⁶⁴·1000`.
 fn covariant(pacing: &RunPacing, start_fs: u128, end_fs: u128) -> bool {
-    let raw = |t: u128| t.checked_sub(pacing.window_fs).map(|r| r / FS_PER_PS);
-    raw(start_fs).is_some_and(|r| r >= u128::from(pacing.floor.as_ps()))
-        && raw(end_fs).is_some_and(|r| u64::try_from(r).is_ok())
+    let raw = |t: u128| t.checked_sub(pacing.window_fs);
+    raw(start_fs).is_some_and(|r| r >= u128::from(pacing.floor.as_ps()) * FS_PER_PS)
+        && raw(end_fs).is_some_and(|r| r < (1u128 << 64) * FS_PER_PS)
 }
 
 /// The jump engine's scratch for one span at a time, sized at
@@ -95,10 +94,17 @@ fn covariant(pacing: &RunPacing, start_fs: u128, end_fs: u128) -> bool {
 #[derive(Clone, Default)]
 pub(crate) struct Jump {
     geom: Geometry,
+    /// Whether the device refreshes: refresh fires at absolute times,
+    /// so no span jumps.
+    refresh: bool,
     span: Span,
+    /// Whole periods of the current span served so far.
+    served: u32,
     /// Whether the current span may jump: refresh is off, every beat of
     /// its first period decoded and two periods are left to serve.
     armed: bool,
+    /// Whether `prev` holds the boundary a served period ended at.
+    marked: bool,
     /// Touched banks as (vault, bank within the vault), first touch
     /// first.
     banks: Vec<(usize, usize)>,
@@ -116,8 +122,8 @@ pub(crate) struct Jump {
     /// The touched vaults' statistics after a jump, checked before any
     /// of them is installed.
     jumped: Vec<Stats>,
-    /// Periods served one by one (not jumped), so tests can prove the
-    /// jump engages.
+    /// Periods served one by one (not jumped), the head included, so
+    /// tests can prove the jump engages: a jump follows at least two.
     #[cfg(test)]
     pub(crate) periods: u64,
 }
@@ -129,7 +135,7 @@ impl std::fmt::Debug for Jump {
 }
 
 impl Jump {
-    pub(crate) fn new(geom: &Geometry) -> Self {
+    pub(crate) fn new(geom: &Geometry, timing: &TimingParams) -> Self {
         let banks = geom.vaults * geom.banks_per_vault();
         let boundary = || Boundary {
             banks: Vec::with_capacity(banks),
@@ -139,6 +145,7 @@ impl Jump {
         };
         Jump {
             geom: *geom,
+            refresh: timing.refresh_enabled(),
             banks: Vec::with_capacity(banks),
             vaults: Vec::with_capacity(geom.vaults),
             // simlint::allow(H001): system construction — sized once per device, never per request
@@ -154,17 +161,17 @@ impl Jump {
         }
     }
 
-    /// The current span.
-    pub(crate) fn span(&self) -> Span {
-        self.span
+    /// The current span and the whole periods of it served so far.
+    pub(crate) fn progress(&self) -> (Span, u32) {
+        (self.span, self.served)
     }
 
-    /// Starts `span` after `head` (its periods already served), whose
+    /// Starts `span` after `head`, its first `served` periods, whose
     /// every period touches the banks and vaults of the first period's
     /// `beats`, each moving `op`'s bytes: collects them and marks the
-    /// boundary `head` ends at. The span may jump only if refresh is
-    /// off (refresh fires at absolute times), every beat decodes and at
-    /// least two periods are left: a jump follows two boundaries.
+    /// boundary `head` ends at, if it served a period. The span may
+    /// jump only if refresh is off, every beat decodes and at least two
+    /// periods are left: a jump follows two boundaries.
     pub(crate) fn start(
         &mut self,
         controllers: &[VaultController],
@@ -172,9 +179,16 @@ impl Jump {
         beats: impl Iterator<Item = Result<Location>>,
         op: TraceOp,
         head: &RunServed,
+        served: u32,
     ) {
         self.span = span;
-        if span.periods - head.beats / span.beats < 2 {
+        self.served = served;
+        self.marked = false;
+        #[cfg(test)]
+        {
+            self.periods += u64::from(self.served);
+        }
+        if span.periods - self.served < 2 {
             self.armed = false;
             return;
         }
@@ -215,13 +229,11 @@ impl Jump {
         for &v in &self.vaults {
             self.vault_seen[v] = false;
         }
-        self.armed = ok
-            && !controllers
-                .first()
-                .is_some_and(|c| c.timing.refresh_enabled());
-        if self.armed {
+        self.armed = ok && !self.refresh;
+        if self.armed && served > 0 {
             self.mark(controllers, head.last_done, head.t_kernel_fs);
             std::mem::swap(&mut self.prev, &mut self.cur);
+            self.marked = true;
         }
     }
 
@@ -234,23 +246,23 @@ impl Jump {
         b.t_fs = t_fs;
         b.banks.clear();
         for &(v, bank) in &self.banks {
-            b.banks.push(controllers[v].banks[bank]);
+            b.banks.push(controllers[v].bank_state(bank));
         }
         b.vaults.clear();
         b.stats.clear();
         for &v in &self.vaults {
-            let c = &controllers[v];
-            b.vaults.push((c.last_vault_activate, c.tsv_free_at));
-            b.stats.push(c.stats);
+            b.vaults.push(controllers[v].clocks());
+            b.stats.push(*controllers[v].stats());
         }
     }
 
     /// Called after each whole period `last`, served from kernel clock
     /// `start_fs` and already folded into `acc` (the span so far): when
-    /// the period left the touched state as the one before it left it,
-    /// shifted by Δ, and was shift-covariant, every later period repeats
-    /// it shifted by Δ — jumps as many as [`cap`](Self::cap) allows,
-    /// folding them into `acc`.
+    /// the period left the touched state as the period before it left
+    /// it, shifted by Δ, and was shift-covariant, every later period
+    /// repeats it shifted by Δ — jumps as many as [`cap`](Self::cap)
+    /// allows, folding them into `acc`. Returns the whole periods served
+    /// so far.
     // simlint::entry(service_path)
     // simlint::entry(hot_path)
     pub(crate) fn after_period(
@@ -260,26 +272,29 @@ impl Jump {
         start_fs: u128,
         pacing: &RunPacing,
         acc: &mut RunServed,
-    ) {
+    ) -> u32 {
         #[cfg(test)]
         {
             self.periods += 1;
         }
-        // `acc` holds whole periods.
-        let left = self.span.periods - acc.beats / self.span.beats;
+        self.served += 1;
+        let left = self.span.periods - self.served;
         if !self.armed || left == 0 {
-            return;
+            return self.served;
         }
         self.mark(controllers, last.last_done, acc.t_kernel_fs);
-        if let Some(delta) = self
-            .prev
-            .shift_to(&self.cur, self.span.row_advance)
-            .filter(|_| covariant(pacing, start_fs, acc.t_kernel_fs))
-        {
+        let shift = if self.marked {
+            self.prev.shift_to(&self.cur, self.span.row_advance)
+        } else {
+            None
+        };
+        if let Some(delta) = shift.filter(|_| covariant(pacing, start_fs, acc.t_kernel_fs)) {
             let k = self.cap(delta, left, last, pacing, acc);
             self.apply(controllers, k, delta, last, acc);
         }
         std::mem::swap(&mut self.prev, &mut self.cur);
+        self.marked = true;
+        self.served
     }
 
     /// How many of the `left` periods after `last`, each `delta`
@@ -296,17 +311,15 @@ impl Jump {
         pacing: &RunPacing,
         acc: &RunServed,
     ) -> u32 {
-        // The number of periods j ≥ 1 with `from + j·delta ≤ bound`.
-        let within = |from: Picos, bound: Picos| {
-            bound
-                .as_ps()
-                .checked_sub(from.as_ps())
-                .map_or(0, |room| room / delta)
-        };
+        // The periods j ≥ 1 with `from + j·delta ≤ bound` number
+        // `room / delta`; all time caps share the divisor, so one
+        // division of the smallest room applies them all.
+        let room = |from: Picos, bound: Picos| bound.saturating_sub(from).as_ps();
         let beats = self.span.beats;
         let done = self.cur.done;
         let next_at = pacing.arrival(acc.t_kernel_fs);
-        let mut k = u64::from(left).min(within(next_at, MAX_ARRIVAL));
+        let mut k = u64::from(left);
+        let mut rooms = room(next_at, MAX_ARRIVAL);
         if let Some(ahead) = pacing
             .probe_beat
             .and_then(|b| b.checked_sub(u64::from(acc.beats)))
@@ -314,16 +327,18 @@ impl Jump {
             k = k.min(ahead / u64::from(beats));
         }
         if last.leased < beats {
-            k = k.min(within(done, pacing.horizon));
+            rooms = rooms.min(room(done, pacing.horizon));
         }
         if last.leased > 0 {
-            k = k.min(pacing.lease.map_or(0, |l| {
-                let l = l.after(acc.leased);
-                u64::from(l.picks / last.leased)
-                    .min(within(next_at, l.ready_by))
-                    .min(within(done, l.horizon))
-            }));
+            let lease = pacing.lease.map(|l| l.after(acc.leased));
+            k = k.min(lease.map_or(0, |l| u64::from(l.picks / last.leased)));
+            if let Some(l) = lease {
+                rooms = rooms
+                    .min(room(next_at, l.ready_by))
+                    .min(room(done, l.horizon));
+            }
         }
+        k = k.min(rooms / delta);
         // `k` is at most `left`.
         u32::try_from(k).unwrap_or(left)
     }
@@ -332,10 +347,10 @@ impl Jump {
     /// one before: k·Δ on every moved time and the kernel clock,
     /// k·`row_advance` on every open row, k times the last period's
     /// delta on each touched vault's statistics. Folds them into `acc`
-    /// and re-marks the current boundary; changes nothing when `k` is
-    /// zero or the arithmetic would overflow. Every touched time is at
-    /// most the period's latest completion, so one checked sum bounds
-    /// them all.
+    /// and, if periods are left, re-marks the current boundary; changes
+    /// nothing when `k` is zero or the arithmetic would overflow. Every
+    /// touched time is at most the period's latest completion, so one
+    /// checked sum bounds them all.
     fn apply(
         &mut self,
         controllers: &mut [VaultController],
@@ -355,30 +370,15 @@ impl Jump {
             .checked_mul(self.span.row_advance)?;
         self.jumped.clear();
         for (&v, before) in self.vaults.iter().zip(&self.prev.stats) {
-            let stats = controllers[v].stats.plus_repeats(u64::from(k), before)?;
+            let stats = controllers[v].stats().plus_repeats(u64::from(k), before)?;
             self.jumped.push(stats);
         }
         let by = Picos(by);
         for (&(v, bank), before) in self.banks.iter().zip(&self.prev.banks) {
-            let b = &mut controllers[v].banks[bank];
-            b.open_row = b.open_row.map(|r| r + rows);
-            if b.last_activate != before.last_activate {
-                b.last_activate = b.last_activate.map(|t| t + by);
-            }
-            if b.last_column != before.last_column {
-                b.last_column = b.last_column.map(|t| t + by);
-            }
+            controllers[v].shift_bank(bank, before, by, rows);
         }
         for ((&v, before), &stats) in self.vaults.iter().zip(&self.prev.vaults).zip(&self.jumped) {
-            let c = &mut controllers[v];
-            if c.last_vault_activate != before.0 {
-                c.last_vault_activate = c.last_vault_activate.map(|(t, l, b)| (t + by, l, b));
-            }
-            if c.tsv_free_at != before.1 {
-                c.tsv_free_at += by;
-            }
-            c.stats = stats;
-            c.stats.last_beat = c.stats.last_beat.max(c.tsv_free_at);
+            controllers[v].shift_vault(before, by, stats);
         }
         #[cfg(debug_assertions)]
         self.check_jump(controllers, k);
@@ -388,7 +388,10 @@ impl Jump {
         acc.leased += k * last.leased;
         acc.t_kernel_fs = t_fs_k;
         acc.last_done = done_k;
-        self.mark(controllers, done_k, t_fs_k);
+        self.served += k;
+        if self.served < self.span.periods {
+            self.mark(controllers, done_k, t_fs_k);
+        }
         Some(())
     }
 
@@ -401,7 +404,7 @@ impl Jump {
     fn check_jump(&self, controllers: &[VaultController], k: u32) {
         let rows = k as usize * self.span.row_advance;
         for (&(v, bank), before) in self.banks.iter().zip(&self.cur.banks) {
-            let after = &controllers[v].banks[bank];
+            let after = controllers[v].bank_state(bank);
             debug_assert!(
                 after.last_activate >= before.last_activate
                     && after.last_column >= before.last_column,
@@ -420,16 +423,16 @@ impl Jump {
             .zip(&self.cur.vaults)
             .zip(&self.cur.stats)
         {
-            let c = &controllers[v];
+            let (activate, tsv_free) = controllers[v].clocks();
+            let after = controllers[v].stats();
             let (read, written) = self.vault_bytes[v];
             debug_assert!(
-                c.last_vault_activate.map(|a| a.0) >= clocks.0.map(|a| a.0)
-                    && c.tsv_free_at >= clocks.1,
+                activate.map(|a| a.0) >= clocks.0.map(|a| a.0) && tsv_free >= clocks.1,
                 "a jump moved vault {v} back in time"
             );
             debug_assert!(
-                c.stats.bytes_read == stats.bytes_read + k * read
-                    && c.stats.bytes_written == stats.bytes_written + k * written,
+                after.bytes_read == stats.bytes_read + k * read
+                    && after.bytes_written == stats.bytes_written + k * written,
                 "a jump did not conserve vault {v}'s bytes"
             );
         }

@@ -97,6 +97,15 @@ pub struct MemorySystem {
     train_jump: Jump,
 }
 
+/// The two periodic spans, each served on its own jump engine.
+#[derive(Debug, Clone, Copy)]
+enum SpanKind {
+    /// A same-bank stretch: periods of one beat.
+    SameBank,
+    /// A train: periods of one run.
+    Train,
+}
+
 impl MemorySystem {
     /// Builds an idle device.
     ///
@@ -129,8 +138,8 @@ impl MemorySystem {
             maps: AddressMapKind::ALL.map(|k| AddressMap::new(k, geom)),
             capacity: geom.capacity_bytes(),
             path: ServicePath::Fast,
-            beat_jump: Jump::new(&geom),
-            train_jump: Jump::new(&geom),
+            beat_jump: Jump::new(&geom, &timing),
+            train_jump: Jump::new(&geom, &timing),
         })
     }
 
@@ -452,16 +461,14 @@ impl MemorySystem {
             beats: run.beats,
             row_advance: 0,
         };
-        let mut jump = std::mem::take(&mut self.train_jump);
-        jump.start(&self.controllers, span, beats, run.op, &head);
-        let served = self.serve_periods(&mut jump, pacing, head, |m, i, p| {
+        let (jump, controllers) = self.engine(SpanKind::Train);
+        jump.start(controllers, span, beats, run.op, &head, 1);
+        self.serve_periods(SpanKind::Train, pacing, head, |m, i, p| {
             match m.span_run(map_kind, run.moved(u64::from(i) * train.step)?, p) {
                 SpanOutcome::Served(s) => Some(s),
                 _ => None,
             }
-        });
-        self.train_jump = jump;
-        served
+        })
     }
 
     /// Serves a **same-bank stretch**: `beats` beats of `op` from `loc`,
@@ -489,9 +496,9 @@ impl MemorySystem {
             beats: 1,
             row_advance: row_step,
         };
-        let mut jump = std::mem::take(&mut self.beat_jump);
-        jump.start(&self.controllers, span, std::iter::once(Ok(loc)), op, &head);
-        let served = self.serve_periods(&mut jump, pacing, head, |m, i, p| {
+        let (jump, controllers) = self.engine(SpanKind::SameBank);
+        jump.start(controllers, span, std::iter::once(Ok(loc)), op, &head, 0);
+        self.serve_periods(SpanKind::SameBank, pacing, head, |m, i, p| {
             let row = loc.row + i as usize * row_step;
             let (mut t_fs, mut lease) = (p.t_kernel_fs, p.lease);
             let done = m.paced_beat(Location { row, ..loc }, op, p, &mut t_fs, &mut lease)?;
@@ -502,27 +509,32 @@ impl MemorySystem {
                 probe_done: (p.probe_beat == Some(0)).then_some(done),
                 leased: picks_used(p.lease, lease),
             })
-        });
-        self.beat_jump = jump;
-        served
+        })
     }
 
-    /// Serves the periods after `head` of the span `jump` was started
-    /// on, period *i* through `serve(self, i, pacing)` with the pacing
-    /// law moved past the beats served so far (`None`: not served),
-    /// folding each into `head`; after each whole period, `jump` may
-    /// jump over the span's steady state. Stops at the first period not
-    /// served whole.
+    /// The jump engine `kind` runs on, and the controllers it moves.
+    fn engine(&mut self, kind: SpanKind) -> (&mut Jump, &mut [VaultController]) {
+        let jump = match kind {
+            SpanKind::SameBank => &mut self.beat_jump,
+            SpanKind::Train => &mut self.train_jump,
+        };
+        (jump, &mut self.controllers)
+    }
+
+    /// Serves the periods after `head` (the periods the span was
+    /// started with on `kind`'s engine), period *i* through
+    /// `serve(self, i, pacing)` with the pacing law moved past the beats
+    /// served so far (`None`: not served), folding each into `head`;
+    /// after each whole period, the engine may jump over the span's
+    /// steady state. Stops at the first period not served whole.
     fn serve_periods(
         &mut self,
-        jump: &mut Jump,
+        kind: SpanKind,
         pacing: &RunPacing,
         mut acc: RunServed,
         mut serve: impl FnMut(&mut Self, u32, &RunPacing) -> Option<RunServed>,
     ) -> RunServed {
-        let span = jump.span();
-        // `acc` holds whole periods.
-        let mut i = acc.beats / span.beats;
+        let (span, mut i) = self.engine(kind).0.progress();
         while i < span.periods {
             let start_fs = acc.t_kernel_fs;
             let p = RunPacing {
@@ -544,8 +556,8 @@ impl MemorySystem {
             if s.beats < span.beats {
                 break;
             }
-            jump.after_period(&mut self.controllers, &s, start_fs, pacing, &mut acc);
-            i = acc.beats / span.beats;
+            let (jump, controllers) = self.engine(kind);
+            i = jump.after_period(controllers, &s, start_fs, pacing, &mut acc);
         }
         acc
     }
@@ -564,7 +576,7 @@ impl MemorySystem {
     ) -> Option<Picos> {
         let c = &mut self.controllers[loc.vault];
         let at = pacing.arrival(*t_fs);
-        if !pacing.admits(lease, loc.vault, op.bytes, at, c.tsv_free_at) {
+        if !pacing.admits(lease, loc.vault, op.bytes, at, c.tsv_free_at()) {
             return None;
         }
         let done = c
@@ -995,6 +1007,17 @@ mod tests {
         (served, stepped)
     }
 
+    /// Asserts a span jumped over its steady state: its jump engine
+    /// stepped fewer than `most` of its periods (`what`) one by one, and
+    /// at least the two a jump follows — none means the span bypassed
+    /// the engine.
+    fn assert_jumped(stepped: u64, most: u64, what: &str) {
+        assert!(
+            (2..most).contains(&stepped),
+            "{stepped} {what} stepped one by one: the jump did not engage"
+        );
+    }
+
     /// A device with a few random prior requests somewhere in vault 0.
     fn warmed_sys(rng: &mut sim_util::SimRng) -> MemorySystem {
         let geom = Geometry::default();
@@ -1178,10 +1201,7 @@ mod tests {
             assert_same_bank_matches_scalar(sys(), loc, 8, Direction::Read, 2, 4000, pacing);
         assert_eq!(served.beats, 4000);
         assert!(served.probe_done.is_some());
-        assert!(
-            looped < 16,
-            "{looped} beats stepped for a 4000-beat steady run: the jump did not engage"
-        );
+        assert_jumped(looped, 16, "beats of a 4000-beat steady run");
     }
 
     #[test]
@@ -1218,10 +1238,7 @@ mod tests {
                 assert_same_bank_matches_scalar(sys(), loc, 8, Direction::Read, 2, 4000, pacing);
             assert_eq!(served.beats, picks.min(4000));
             assert_eq!(served.leased, served.beats, "every beat used a pick");
-            assert!(
-                looped < 16,
-                "{looped} beats stepped for a leased steady run: the jump did not engage"
-            );
+            assert_jumped(looped, 16, "beats of a leased steady run");
         }
     }
 
@@ -1521,10 +1538,7 @@ mod tests {
             assert_train_matches_scalar(&m, AddressMapKind::VaultInterleaved, train, &pacing);
         assert_eq!(served.beats, 1024 * 1024);
         assert!(served.probe_done.is_some());
-        assert!(
-            looped < 8,
-            "{looped} runs served for a steady 1024-run train: the jump did not engage"
-        );
+        assert_jumped(looped, 8, "runs of a steady 1024-run train");
     }
 
     #[test]
@@ -1542,7 +1556,7 @@ mod tests {
             let (served, looped) =
                 assert_train_matches_scalar(&sys(), AddressMapKind::Chunked, train, &unwindowed());
             assert_eq!(served.beats, train.run.beats * (train.repeats + 1));
-            assert!(looped < 8, "{looped} runs served for {train:?}");
+            assert_jumped(looped, 8, &format!("runs of {train:?}"));
         }
     }
 
@@ -1602,7 +1616,7 @@ mod tests {
         let train = column_train(64, row, 511, 8);
         let (served, looped) = assert_train_matches_scalar(&base, kind, train, &unwindowed());
         assert_eq!(served.beats, 64 * 512);
-        assert!(looped < 8, "{looped} runs served");
+        assert_jumped(looped, 8, "runs of a train over stale banks");
         let mut after = base.clone();
         drive(&mut after, kind, train, &unwindowed());
         assert_eq!(touched(&after), stale, "untouched banks moved");
