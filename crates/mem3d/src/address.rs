@@ -50,15 +50,6 @@ impl AddressMapKind {
         AddressMapKind::RowInterleaved,
         AddressMapKind::VaultInterleaved,
     ];
-
-    /// Dense index of this kind (used to cache one map per kind).
-    pub(crate) fn index(self) -> usize {
-        match self {
-            AddressMapKind::Chunked => 0,
-            AddressMapKind::RowInterleaved => 1,
-            AddressMapKind::VaultInterleaved => 2,
-        }
-    }
 }
 
 /// Precomputed shift/mask plan for an all-power-of-two geometry.

@@ -191,7 +191,6 @@ pub(crate) type VaultClocks = (Option<(Picos, usize, usize)>, Picos);
 impl VaultController {
     /// Creates an idle controller for vault `vault` of `geom`.
     pub fn new(vault: usize, geom: Geometry, timing: TimingParams) -> Self {
-        // simlint::allow(H001): controller construction — one allocation per vault at system build, never per request
         let banks = vec![BankState::idle(); geom.banks_per_vault()];
         VaultController {
             vault,

@@ -148,11 +148,8 @@ impl Jump {
             refresh: timing.refresh_enabled(),
             banks: Vec::with_capacity(banks),
             vaults: Vec::with_capacity(geom.vaults),
-            // simlint::allow(H001): system construction — sized once per device, never per request
             vault_bytes: vec![(0, 0); geom.vaults],
-            // simlint::allow(H001): system construction — sized once per device, never per request
             bank_seen: vec![false; banks],
-            // simlint::allow(H001): system construction — sized once per device, never per request
             vault_seen: vec![false; geom.vaults],
             prev: boundary(),
             cur: boundary(),
@@ -193,7 +190,9 @@ impl Jump {
             return;
         }
         for &v in &self.vaults {
-            self.vault_bytes[v] = (0, 0);
+            if let Some(moved) = self.vault_bytes.get_mut(v) {
+                *moved = (0, 0);
+            }
         }
         self.banks.clear();
         self.vaults.clear();
@@ -210,24 +209,34 @@ impl Jump {
                 break;
             };
             let bank = loc.bank_in_vault(&self.geom);
-            let flat = loc.vault * bpv + bank;
-            if !self.bank_seen[flat] {
-                self.bank_seen[flat] = true;
+            let (Some(bank_seen), Some(vault_seen), Some(moved)) = (
+                self.bank_seen.get_mut(loc.vault * bpv + bank),
+                self.vault_seen.get_mut(loc.vault),
+                self.vault_bytes.get_mut(loc.vault),
+            ) else {
+                ok = false;
+                break;
+            };
+            if !*bank_seen {
+                *bank_seen = true;
                 self.banks.push((loc.vault, bank));
             }
-            if !self.vault_seen[loc.vault] {
-                self.vault_seen[loc.vault] = true;
+            if !*vault_seen {
+                *vault_seen = true;
                 self.vaults.push(loc.vault);
             }
-            let moved = &mut self.vault_bytes[loc.vault];
             moved.0 += per_beat.0;
             moved.1 += per_beat.1;
         }
         for &(v, b) in &self.banks {
-            self.bank_seen[v * bpv + b] = false;
+            if let Some(seen) = self.bank_seen.get_mut(v * bpv + b) {
+                *seen = false;
+            }
         }
         for &v in &self.vaults {
-            self.vault_seen[v] = false;
+            if let Some(seen) = self.vault_seen.get_mut(v) {
+                *seen = false;
+            }
         }
         self.armed = ok && !self.refresh;
         if self.armed && served > 0 {
@@ -370,7 +379,10 @@ impl Jump {
             .checked_mul(self.span.row_advance)?;
         self.jumped.clear();
         for (&v, before) in self.vaults.iter().zip(&self.prev.stats) {
-            let stats = controllers[v].stats().plus_repeats(u64::from(k), before)?;
+            let stats = controllers
+                .get(v)?
+                .stats()
+                .plus_repeats(u64::from(k), before)?;
             self.jumped.push(stats);
         }
         let by = Picos(by);

@@ -3,8 +3,8 @@
 use crate::controller::picks_used;
 use crate::jump::{Jump, Span};
 use crate::{
-    AddressMap, AddressMapKind, BandwidthReport, Error, Geometry, Location, Picos, Request,
-    RequestOutcome, Result, RunPacing, RunServed, Stats, TimingParams, TraceOp, TraceRun,
+    AddressMap, AddressMapKind, BandwidthReport, Direction, Error, Geometry, Location, Picos,
+    Request, RequestOutcome, Result, RunPacing, RunServed, Stats, TimingParams, TraceOp, TraceRun,
     TraceTrain, VaultController, VaultLease,
 };
 
@@ -86,7 +86,8 @@ pub struct MemorySystem {
     geom: Geometry,
     timing: TimingParams,
     controllers: Vec<VaultController>,
-    /// One cached map per [`AddressMapKind`], indexed by `kind.index()`.
+    /// One cached map per [`AddressMapKind`], in [`AddressMapKind::ALL`]
+    /// order.
     maps: [AddressMap; 3],
     /// Cached `geom.capacity_bytes()` for per-burst bounds checks.
     capacity: u64,
@@ -114,9 +115,6 @@ impl MemorySystem {
     /// Panics if `geom` or `timing` fail validation; use
     /// [`MemorySystem::try_new`] for fallible construction.
     pub fn new(geom: Geometry, timing: TimingParams) -> Self {
-        // simlint::allow(P001): documented constructor panic on invalid
-        // config; `try_new` is the fallible path and nothing on the
-        // request service path calls `new`.
         Self::try_new(geom, timing).expect("invalid memory configuration")
     }
 
@@ -130,7 +128,7 @@ impl MemorySystem {
         timing.validate()?;
         let controllers = (0..geom.vaults)
             .map(|v| VaultController::new(v, geom, timing))
-            .collect(); // simlint::allow(H001): system construction — one controller table per device, never per request
+            .collect();
         Ok(MemorySystem {
             geom,
             timing,
@@ -155,7 +153,12 @@ impl MemorySystem {
 
     /// The cached address map for `kind`.
     pub fn address_map(&self, kind: AddressMapKind) -> &AddressMap {
-        &self.maps[kind.index()]
+        let [chunked, row, vault] = &self.maps;
+        match kind {
+            AddressMapKind::Chunked => chunked,
+            AddressMapKind::RowInterleaved => row,
+            AddressMapKind::VaultInterleaved => vault,
+        }
     }
 
     /// The active request-servicing implementation.
@@ -193,7 +196,7 @@ impl MemorySystem {
     ///
     /// Returns [`Error::OutOfRange`] when `addr` is outside the device.
     pub fn vault_of(&self, map_kind: AddressMapKind, addr: u64) -> Result<usize> {
-        Ok(self.maps[map_kind.index()].decode(addr)?.vault)
+        Ok(self.address_map(map_kind).decode(addr)?.vault)
     }
 
     /// Checks that a non-empty `bytes`-long access at `addr` ends inside
@@ -262,44 +265,29 @@ impl MemorySystem {
             return Err(Error::BadRequest("zero-length request".into()));
         }
         self.check_range(op.addr, op.bytes as u64)?;
-        let loc = self.maps[map_kind.index()].decode(op.addr)?;
+        let loc = self.address_map(map_kind).decode(op.addr)?;
         let row_bytes = self.geom.row_bytes;
         let in_row = row_bytes - loc.col as usize;
         if op.bytes as usize <= in_row {
             // Hot single-fragment case: one decode, one controller call.
-            return Ok(self.controllers[loc.vault].service(Request {
-                loc,
-                bytes: op.bytes,
-                dir: op.dir,
-                at,
-            }));
+            return self.serve_fragment(loc, op.bytes, op.dir, at);
         }
         // Multi-fragment walk: decode once, then advance rows with
         // carry arithmetic in the map's interleaving order. The first
         // fragment is served eagerly so `data_start` needs no Option.
-        let map = self.maps[map_kind.index()];
+        let map = *self.address_map(map_kind);
         let mut remaining = op.bytes as usize;
         let mut loc = loc;
-        let mut out = self.controllers[loc.vault].service(Request {
-            loc,
-            bytes: in_row as u32,
-            dir: op.dir,
-            at,
-        });
+        let mut out = self.serve_fragment(loc, in_row as u32, op.dir, at)?;
         let data_start = out.data_start;
         remaining -= in_row;
         while remaining > 0 {
-            // simlint::allow(P001): `end < capacity` was verified at
+            // simlint::allow(P101): `end < capacity` was verified at
             // entry, so every continuation row of an in-bounds burst
             // exists — the map can always advance here.
             loc = map.next_row_location(loc).expect("in-bounds burst");
             let take = remaining.min(row_bytes);
-            out = self.controllers[loc.vault].service(Request {
-                loc,
-                bytes: take as u32,
-                dir: op.dir,
-                at,
-            });
+            out = self.serve_fragment(loc, take as u32, op.dir, at)?;
             remaining -= take;
         }
         Ok(RequestOutcome { data_start, ..out })
@@ -329,12 +317,7 @@ impl MemorySystem {
         let mut remaining = bytes as u64;
         let take = remaining.min(row_bytes - cur % row_bytes);
         let loc = map.decode_reference(cur)?;
-        let mut out = self.controllers[loc.vault].service(Request {
-            loc,
-            bytes: take as u32,
-            dir,
-            at,
-        });
+        let mut out = self.serve_fragment(loc, take as u32, dir, at)?;
         let data_start = out.data_start;
         cur += take;
         remaining -= take;
@@ -342,16 +325,31 @@ impl MemorySystem {
             let in_row = row_bytes - cur % row_bytes;
             let take = remaining.min(in_row);
             let loc = map.decode_reference(cur)?;
-            out = self.controllers[loc.vault].service(Request {
-                loc,
-                bytes: take as u32,
-                dir,
-                at,
-            });
+            out = self.serve_fragment(loc, take as u32, dir, at)?;
             cur += take;
             remaining -= take;
         }
         Ok(RequestOutcome { data_start, ..out })
+    }
+
+    /// Serves one row fragment at `loc` on its vault's controller.
+    #[inline]
+    fn serve_fragment(
+        &mut self,
+        loc: Location,
+        bytes: u32,
+        dir: Direction,
+        at: Picos,
+    ) -> Result<RequestOutcome> {
+        let Some(c) = self.controllers.get_mut(loc.vault) else {
+            return Err(vault_outside(loc.vault));
+        };
+        Ok(c.service(Request {
+            loc,
+            bytes,
+            dir,
+            at,
+        }))
     }
 
     /// Classifies a pulled train of runs against register-resident
@@ -452,7 +450,7 @@ impl MemorySystem {
         head: RunServed,
     ) -> RunServed {
         let run = train.run;
-        let map = self.maps[map_kind.index()];
+        let map = *self.address_map(map_kind);
         let beats = std::iter::successors(Some(run.op.addr), |a| Some(a.wrapping_add(run.stride)))
             .take(run.beats as usize)
             .map(|addr| map.decode(addr));
@@ -565,7 +563,9 @@ impl MemorySystem {
     /// Serves one beat of `op` at `loc` under `pacing`, issued with the
     /// kernel clock at `t_fs`, if [`RunPacing::admits`] it (drawing a
     /// leased pick from `lease`): returns its completion and advances
-    /// `t_fs` exactly as the driver's scalar beat does.
+    /// `t_fs` exactly as the driver's scalar beat does. A vault outside
+    /// the device serves nothing, so the span ends and the scalar beat
+    /// reports the error.
     fn paced_beat(
         &mut self,
         loc: Location,
@@ -574,7 +574,7 @@ impl MemorySystem {
         t_fs: &mut u128,
         lease: &mut Option<VaultLease>,
     ) -> Option<Picos> {
-        let c = &mut self.controllers[loc.vault];
+        let c = self.controllers.get_mut(loc.vault)?;
         let at = pacing.arrival(*t_fs);
         if !pacing.admits(lease, loc.vault, op.bytes, at, c.tsv_free_at()) {
             return None;
@@ -639,7 +639,8 @@ impl MemorySystem {
         // off, so refresh windows decline the class).
         if !self.timing.refresh_enabled() {
             if let Some((loc, row_step, fit)) =
-                self.maps[map_kind.index()].stride_run_location(run.op.addr, run.stride, run.beats)
+                self.address_map(map_kind)
+                    .stride_run_location(run.op.addr, run.stride, run.beats)
             {
                 if fit >= 2 {
                     return SpanOutcome::Served(
@@ -691,7 +692,7 @@ impl MemorySystem {
         run: TraceRun,
         pacing: &RunPacing,
     ) -> RunServed {
-        let map = self.maps[map_kind.index()];
+        let map = *self.address_map(map_kind);
         let mut lease = pacing.lease;
         let mut t_fs = pacing.t_kernel_fs;
         let mut addr = run.op.addr;
@@ -701,7 +702,7 @@ impl MemorySystem {
         let mut last_done = Picos::ZERO;
         let mut served = 0;
         for i in 0..run.beats as u64 {
-            // simlint::allow(P001): the whole run was bounds-checked by
+            // simlint::allow(P101): the whole run was bounds-checked by
             // `service_paced_span`, so every beat address decodes.
             let loc = map.decode(addr).expect("in-bounds beat");
             let Some(done) = self.paced_beat(loc, run.op, pacing, &mut t_fs, &mut lease) else {
@@ -755,10 +756,15 @@ impl MemorySystem {
     }
 }
 
+/// The error for a location whose vault the device does not have.
+#[cold]
+fn vault_outside(vault: usize) -> Error {
+    Error::BadRequest(format!("vault {vault} outside the device"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Direction;
 
     fn sys() -> MemorySystem {
         MemorySystem::new(Geometry::default(), TimingParams::default())

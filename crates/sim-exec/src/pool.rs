@@ -295,7 +295,7 @@ where
                 match next {
                     Some(i) => {
                         let r = execute(cfg, base, w, i, f);
-                        // simlint::allow(P001): poisoned lock means a worker already panicked
+                        // simlint::allow(P101): poisoned lock means a worker already panicked
                         results.lock().expect("results lock")[i] = Some(r);
                     }
                     None => {
@@ -310,10 +310,10 @@ where
 
     results
         .into_inner()
-        // simlint::allow(P001): poisoned lock means a worker already panicked
+        // simlint::allow(P101): poisoned lock means a worker already panicked
         .expect("results lock")
         .into_iter()
-        // simlint::allow(P001): the scope above ran every job to completion
+        // simlint::allow(P101): the scope above ran every job to completion
         .map(|r| r.expect("every job leaves a result"))
         .collect()
 }
@@ -335,11 +335,11 @@ fn next_job(
     queues: &[Mutex<VecDeque<usize>>],
     injector: &Mutex<VecDeque<usize>>,
 ) -> Option<usize> {
-    // simlint::allow(P001): poisoned lock means a worker already panicked
+    // simlint::allow(P101): poisoned lock means a worker already panicked
     if let Some(i) = queues[w].lock().expect("queue lock").pop_front() {
         return Some(i);
     }
-    // simlint::allow(P001): poisoned lock means a worker already panicked
+    // simlint::allow(P101): poisoned lock means a worker already panicked
     if let Some(i) = injector.lock().expect("injector lock").pop_front() {
         return Some(i);
     }
@@ -348,7 +348,7 @@ fn next_job(
     let n = queues.len();
     for off in 1..n {
         let v = (w + off) % n;
-        // simlint::allow(P001): poisoned lock means a worker already panicked
+        // simlint::allow(P101): poisoned lock means a worker already panicked
         if let Some(i) = queues[v].lock().expect("victim lock").pop_back() {
             return Some(i);
         }

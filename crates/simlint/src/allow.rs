@@ -166,7 +166,7 @@ mod tests {
     use super::*;
     use crate::lexer::lex;
 
-    const RULES: &[&str] = &["D001", "P001"];
+    const RULES: &[&str] = &["D001", "P101"];
 
     fn run(src: &str) -> (Suppressions, Vec<Diagnostic>) {
         let l = lex(src).unwrap();
@@ -185,9 +185,9 @@ mod tests {
 
     #[test]
     fn trailing_allow_targets_own_line() {
-        let src = "let x = 1; // simlint::allow(P001): bounds pre-checked";
+        let src = "let x = 1; // simlint::allow(P101): bounds pre-checked";
         let (mut sup, _) = run(src);
-        assert!(sup.suppress("P001", 1));
+        assert!(sup.suppress("P101", 1));
     }
 
     #[test]

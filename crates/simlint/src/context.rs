@@ -178,8 +178,10 @@ pub fn contexts(tokens: &[Token], file_is_test: bool) -> Vec<TokenContext> {
             // `impl [<..>] Type {` / `impl [<..>] Trait for Type {` /
             // `trait Name {`: the scope the brace opens is tagged with
             // the *self type* (after `for` when present) so methods can
-            // be qualified as `Type::method`.
-            (TokenKind::Ident, "impl") => {
+            // be qualified as `Type::method`. An `impl Trait` inside a
+            // pending fn signature is a type, not a block: the brace
+            // still opens the fn body.
+            (TokenKind::Ident, "impl") if !matches!(pending, Some(ScopeKind::Fn(_))) => {
                 if let Some(name) = impl_self_type(tokens, i + 1) {
                     pending = Some(ScopeKind::Impl(name));
                 }
@@ -283,6 +285,15 @@ mod tests {
             ctxs[0].clone()
         };
         assert!(c.in_test);
+    }
+
+    #[test]
+    fn impl_trait_in_a_signature_keeps_the_fn_body() {
+        let src = "impl Phase { fn step(&mut self, limit: impl Into<u64>) -> impl Copy { \
+                   let marker = 1; } }";
+        let c = ctx_of(src, "marker");
+        assert_eq!(c.enclosing_fn.as_deref(), Some("step"));
+        assert_eq!(c.impl_type.as_deref(), Some("Phase"));
     }
 
     #[test]

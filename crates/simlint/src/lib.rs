@@ -12,17 +12,19 @@
 //! | D001 | wall-clock reads leaking into deterministic code |
 //! | D002 | `HashMap`/`HashSet` iteration order feeding output |
 //! | D003 | float rounding inside clock/timing accumulation |
-//! | H001 | heap allocation in files annotated `simlint::entry(hot_path)` |
-//! | P001 | panics in files annotated `simlint::entry(service_path)` |
 //! | R001 | silent `as` truncation in address arithmetic |
 //! | X001 | under-synchronized atomics in `sim-exec` |
+//! | D101 | hash-ordered iteration escaping into emitted output |
+//! | H101 | allocation in or reachable from a `hot_path` entry |
+//! | P101 | panic in or reachable from a `service_path` entry |
+//! | T101 | f32/f64 crossing a fn boundary into clock construction |
 //! | A001 | malformed/unjustified `simlint::allow` comments |
 //! | A002 | stale `simlint::allow` comments (warning) |
 //! | A003 | malformed/unattached `simlint::entry` annotations |
-//! | D101 | hash-ordered iteration escaping into emitted output |
-//! | H101 | allocation transitively reachable from a `hot_path` entry |
-//! | P101 | panic transitively reachable from a `service_path` entry |
-//! | T101 | f32/f64 crossing a fn boundary into clock construction |
+//! | L001 | files that fail to lex |
+//!
+//! [`RULES`] is the one table of ids and summaries behind
+//! `--list-rules` and [`known_rule_ids`].
 //!
 //! The lexical pipeline is three stages, all hand-rolled (the
 //! workspace is hermetically zero-dependency — no `syn`): [`lexer`]
@@ -56,23 +58,70 @@ use std::path::Path;
 
 pub use diag::{Diagnostic, Severity};
 
-/// Interprocedural rule ids, valid in `simlint::allow(...)`.
-pub const INTERPROC_RULE_IDS: &[&str] = &["D101", "H101", "P101", "T101"];
-
-/// A `simlint::allow` naming the lexical twin of an interprocedural
-/// rule also silences the interprocedural finding on the same line —
-/// the justification concerns the construct, not which pass saw it.
-const LEXICAL_ALIAS: &[(&str, &str)] = &[
-    ("D101", "D002"),
-    ("H101", "H001"),
-    ("P101", "P001"),
-    ("T101", "D003"),
+/// Every rule simlint reports, as `(id, summary)`: the lexical rules,
+/// the call-graph rules, then the meta rules about annotations (`A*`)
+/// and unreadable files (`L001`).
+pub const RULES: &[(&str, &str)] = &[
+    (
+        "D001",
+        "no wall-clock reads (Instant::now / SystemTime / elapsed) outside the bench harness",
+    ),
+    (
+        "D002",
+        "no HashMap/HashSet in simulation crates (iteration order is nondeterministic)",
+    ),
+    (
+        "D003",
+        "no f32/f64 arithmetic in clock/timing modules (integer picoseconds only)",
+    ),
+    (
+        "R001",
+        "no bare narrowing `as` casts in mem3d/layout address arithmetic (use try_into/checked ops)",
+    ),
+    (
+        "X001",
+        "no Ordering::Relaxed in sim-exec outside the allowlisted hot counters",
+    ),
+    (
+        "D101",
+        "HashMap/HashSet iteration order reaching emitted output (call graph)",
+    ),
+    (
+        "H101",
+        "allocation in or reachable from a hot_path entry (call graph)",
+    ),
+    (
+        "P101",
+        "panic in or reachable from a service_path entry (call graph)",
+    ),
+    (
+        "T101",
+        "f32/f64 crossing a fn boundary into clock construction",
+    ),
+    (
+        "A001",
+        "malformed simlint::allow (unknown rule or missing justification)",
+    ),
+    (
+        "A002",
+        "stale simlint::allow that suppresses nothing (warning)",
+    ),
+    (
+        "A003",
+        "malformed or unattached simlint::entry annotation",
+    ),
+    ("L001", "file failed to lex"),
 ];
 
-/// Every rule id `simlint::allow(...)` may name.
+/// Every rule id `simlint::allow(...)` may name: all of [`RULES`] but
+/// the meta rules, whose findings are about the annotations and files
+/// themselves and never pass through suppression.
 pub fn known_rule_ids() -> Vec<&'static str> {
-    let mut ids = rules::known_rule_ids();
-    ids.extend_from_slice(INTERPROC_RULE_IDS);
+    let mut ids: Vec<&str> = RULES
+        .iter()
+        .map(|(id, _)| *id)
+        .filter(|id| !id.starts_with('A') && *id != "L001")
+        .collect();
     ids.sort_unstable();
     ids
 }
@@ -83,9 +132,6 @@ pub struct Analysis {
     /// Surviving diagnostics, in canonical (path, line, col, rule)
     /// order.
     pub diags: Vec<Diagnostic>,
-    /// One-line advisory notices (never gate): e.g. crates reachable
-    /// from entry points that declare no entries of their own.
-    pub notices: Vec<String>,
     /// Number of files analysed.
     pub files: usize,
     /// The workspace call graph, for `--emit callgraph`.
@@ -139,12 +185,10 @@ pub fn check_sources_with_deps(
         let (items, mut entry_diags) =
             parse::parse_file(path, &lexed.tokens, &contexts, &lexed.comments);
         diags.append(&mut entry_diags);
-        let entry_scopes: Vec<String> = items.iter().flat_map(|f| f.entries.clone()).collect();
         let file = rules::FileCheck {
             path,
             tokens: &lexed.tokens,
             contexts: &contexts,
-            entry_scopes: &entry_scopes,
         };
         for rule in rules::all_rules() {
             if !rule.applies_to(path) {
@@ -161,21 +205,11 @@ pub fn check_sources_with_deps(
     }
 
     let graph = callgraph::CallGraph::build_with_deps(fns, deps);
-    let (graph_diags, notices) = reach::check_graph(&graph);
-    for d in graph_diags {
+    for d in reach::check_graph(&graph) {
         let suppressed = sups
             .iter_mut()
             .find(|(p, _)| p == &d.path)
-            .is_some_and(|(_, sup)| {
-                let alias = LEXICAL_ALIAS
-                    .iter()
-                    .find(|(ip, _)| *ip == d.rule)
-                    .map(|(_, lex)| *lex);
-                // Evaluate both so either allow is marked used.
-                let direct = sup.suppress(d.rule, d.line);
-                let aliased = alias.is_some_and(|a| sup.suppress(a, d.line));
-                direct || aliased
-            });
+            .is_some_and(|(_, sup)| sup.suppress(d.rule, d.line));
         if !suppressed {
             diags.push(d);
         }
@@ -186,7 +220,6 @@ pub fn check_sources_with_deps(
     diag::sort(&mut diags);
     Analysis {
         diags,
-        notices,
         files: files.len(),
         graph,
     }
@@ -278,24 +311,14 @@ mod tests {
     }
 
     #[test]
-    fn allow_of_lexical_twin_silences_interprocedural_rule() {
-        let files = vec![
-            (
-                "crates/a/src/lib.rs".to_string(),
-                "// simlint::entry(service_path)\npub fn serve() { helper::deep(x); }\n"
-                    .to_string(),
-            ),
-            (
-                "crates/a/src/helper.rs".to_string(),
-                "pub fn deep(x: Option<u64>) { x.unwrap(); // simlint::allow(P001): checked upstream\n}\n"
-                    .to_string(),
-            ),
-        ];
-        let a = check_sources(&files);
-        assert!(
-            a.diags.iter().all(|d| d.rule != "P101" && d.rule != "A002"),
-            "{:?}",
-            a.diags
-        );
+    fn rule_ids_are_unique_and_sorted() {
+        let mut ids: Vec<&str> = RULES.iter().map(|(id, _)| *id).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), RULES.len(), "duplicate id in RULES");
+        let known = known_rule_ids();
+        let mut sorted = known.clone();
+        sorted.sort_unstable();
+        assert_eq!(known, sorted);
     }
 }

@@ -34,7 +34,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use simlint::{baseline, rules, walk, Analysis, Severity};
+use simlint::{baseline, walk, Analysis, Severity};
 
 struct Options {
     json: bool,
@@ -107,16 +107,9 @@ fn main() -> ExitCode {
     };
 
     if opts.list_rules {
-        for rule in rules::all_rules() {
-            println!("{}  {}", rule.id(), rule.summary());
+        for (id, summary) in simlint::RULES {
+            println!("{id}  {summary}");
         }
-        println!("A001  malformed simlint::allow (unknown rule or missing justification)");
-        println!("A002  stale simlint::allow that suppresses nothing (warning)");
-        println!("A003  malformed or unattached simlint::entry annotation");
-        println!("D101  HashMap/HashSet iteration order reaching emitted output (call graph)");
-        println!("H101  allocation transitively reachable from a hot_path entry (call graph)");
-        println!("P101  panic transitively reachable from a service_path entry (call graph)");
-        println!("T101  f32/f64 crossing a fn boundary into clock construction");
         return ExitCode::SUCCESS;
     }
 
@@ -221,10 +214,6 @@ fn main() -> ExitCode {
         } else {
             println!("{}", d.render_human());
         }
-    }
-
-    for n in &analysis.notices {
-        eprintln!("simlint: {n}");
     }
 
     let errors = diags

@@ -30,7 +30,7 @@ pub enum FactKind {
     /// `unreachable!`, `todo!`, `unimplemented!`, slice/array index).
     Panic,
     /// A heap-allocation construct (`Box::new`, `Vec::new`, `vec![]`,
-    /// `.collect()`, `.to_vec()`), same set as lexical H001.
+    /// `.collect()`, `.to_vec()`).
     Alloc,
     /// Use of a hash-ordered collection (`HashMap` / `HashSet`).
     HashIter,
@@ -570,7 +570,7 @@ mod tests {
     }
 
     #[test]
-    fn alloc_facts_match_h001_set() {
+    fn alloc_facts_match_h101_set() {
         let src = "fn f() { let a = Box::new(1); let b = Vec::new(); let c = vec![0; 8]; \
                    let d = it.collect::<Vec<_>>(); let e = xs.to_vec(); }";
         let f = &items(src)[0];

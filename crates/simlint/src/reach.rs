@@ -2,15 +2,17 @@
 //!
 //! | rule | fires when |
 //! |------|------------|
-//! | P101 | a panicking construct sits in a fn transitively reachable from a `service_path` entry |
-//! | H101 | an allocation construct sits in a fn transitively reachable from a `hot_path` entry |
+//! | P101 | a panicking construct sits in a `service_path` entry or a fn it transitively reaches |
+//! | H101 | an allocation construct sits in a `hot_path` entry or a fn it transitively reaches |
 //! | T101 | a fn carries `f32`/`f64` in its signature and constructs a clock value itself or via a direct callee |
 //! | D101 | a fn uses a hash-ordered collection and (itself or transitively) emits JSON/report output |
 //!
-//! Each diagnostic lands at the *fact* site (P101/H101/D101) or the
-//! function header (T101), so the existing `simlint::allow` machinery
-//! suppresses them like any lexical finding. The message carries the
-//! BFS chain from the entry point that proves reachability; the
+//! P101/H101 count the entry itself as call depth 0, so one rule covers
+//! the annotated fn and everything it reaches. Each diagnostic lands at
+//! the *fact* site (P101/H101/D101) or the function header (T101), so
+//! the existing `simlint::allow` machinery suppresses them like any
+//! lexical finding. The message carries the BFS chain from the entry
+//! point that proves reachability; the
 //! fingerprint [`Diagnostic::key`] deliberately does not, so baselines
 //! survive call-graph churn.
 
@@ -19,12 +21,7 @@ use crate::diag::{Diagnostic, Severity};
 use crate::parse::FactKind;
 
 /// Runs every interprocedural rule over the graph.
-///
-/// Returns diagnostics plus one-line notices (not diagnostics — they
-/// never gate) naming crates that are reachable from entry points but
-/// declare no `simlint::entry` annotations of their own, i.e. crates
-/// where the lexical P001/H001 fallback covers nothing.
-pub fn check_graph(g: &CallGraph) -> (Vec<Diagnostic>, Vec<String>) {
+pub fn check_graph(g: &CallGraph) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
 
     // ---- P101 / H101: fact reachability from declared entries ------
@@ -48,20 +45,9 @@ pub fn check_graph(g: &CallGraph) -> (Vec<Diagnostic>, Vec<String>) {
         if entries.is_empty() {
             continue;
         }
-        // Files that declare this scope are already covered lexically
-        // (P001/H001 scan the whole annotated file); re-reporting
-        // their facts here would double every finding and bypass
-        // existing allows. The interprocedural pass owns everything
-        // *beyond* those files.
-        let covered: std::collections::BTreeSet<&str> = g
-            .fns
-            .iter()
-            .filter(|f| f.entries.iter().any(|e| e == scope))
-            .map(|f| f.file.as_str())
-            .collect();
         let r = g.reach(&entries);
         for (i, f) in g.fns.iter().enumerate() {
-            if !r.visited[i] || f.in_test || covered.contains(f.file.as_str()) {
+            if !r.visited[i] || f.in_test {
                 continue;
             }
             for fact in f.facts.iter().filter(|x| x.kind == kind) {
@@ -153,56 +139,7 @@ pub fn check_graph(g: &CallGraph) -> (Vec<Diagnostic>, Vec<String>) {
         }
     }
 
-    // ---- notices: reachable crates with no annotations --------------
-    let mut reachable_any = vec![false; g.fns.len()];
-    for scope in crate::parse::KNOWN_SCOPES {
-        let e = g.entries(scope);
-        if e.is_empty() {
-            continue;
-        }
-        let r = g.reach(&e);
-        for (i, v) in r.visited.iter().enumerate() {
-            reachable_any[i] |= v;
-        }
-    }
-    let mut annotated: Vec<&str> = Vec::new();
-    let mut reached: Vec<&str> = Vec::new();
-    for f in &g.fns {
-        if let Some(c) = f
-            .file
-            .strip_prefix("crates/")
-            .and_then(|r| r.split('/').next())
-        {
-            if !f.entries.is_empty() {
-                annotated.push(c);
-            }
-        }
-    }
-    for (i, f) in g.fns.iter().enumerate() {
-        if reachable_any[i] {
-            if let Some(c) = f
-                .file
-                .strip_prefix("crates/")
-                .and_then(|r| r.split('/').next())
-            {
-                reached.push(c);
-            }
-        }
-    }
-    reached.sort_unstable();
-    reached.dedup();
-    let notices = reached
-        .iter()
-        .filter(|c| !annotated.contains(c))
-        .map(|c| {
-            format!(
-                "note: crate `{c}` is reachable from simlint::entry points but declares none — \
-                 interprocedural rules cover it; lexical P001/H001 fall back to annotated files only"
-            )
-        })
-        .collect();
-
-    (diags, notices)
+    diags
 }
 
 #[cfg(test)]
@@ -213,7 +150,7 @@ mod tests {
     use crate::lexer::lex;
     use crate::parse::parse_file;
 
-    fn run(files: &[(&str, &str)]) -> (Vec<Diagnostic>, Vec<String>) {
+    fn run(files: &[(&str, &str)]) -> Vec<Diagnostic> {
         let mut fns = Vec::new();
         for (path, src) in files {
             let l = lex(src).unwrap();
@@ -227,7 +164,7 @@ mod tests {
 
     #[test]
     fn p101_flags_transitive_panic_one_call_deep() {
-        let (diags, _) = run(&[
+        let diags = run(&[
             (
                 "crates/a/src/lib.rs",
                 "// simlint::entry(service_path)\npub fn serve() { helper::deep(); }",
@@ -245,7 +182,7 @@ mod tests {
 
     #[test]
     fn p101_ignores_unreachable_and_test_panics() {
-        let (diags, _) = run(&[(
+        let diags = run(&[(
             "crates/a/src/lib.rs",
             "// simlint::entry(service_path)\npub fn serve() {}\n\
              fn island() { x.unwrap(); }\n\
@@ -255,8 +192,18 @@ mod tests {
     }
 
     #[test]
+    fn p101_does_not_flag_unwrap_or() {
+        let diags = run(&[(
+            "crates/a/src/lib.rs",
+            "// simlint::entry(service_path)\n\
+             fn service() { let x = a.unwrap_or(0).unwrap_or_default(); }",
+        )]);
+        assert!(diags.iter().all(|d| d.rule != "P101"), "{diags:?}");
+    }
+
+    #[test]
     fn h101_flags_reachable_allocation() {
-        let (diags, _) = run(&[
+        let diags = run(&[
             (
                 "crates/a/src/lib.rs",
                 "// simlint::entry(hot_path)\npub fn beat() { stage(); }",
@@ -272,19 +219,44 @@ mod tests {
     }
 
     #[test]
-    fn facts_in_annotated_files_stay_with_the_lexical_rule() {
-        let (diags, _) = run(&[(
+    fn entry_facts_fire_at_depth_zero_but_unreachable_ones_do_not() {
+        let diags = run(&[(
             "crates/a/src/lib.rs",
-            "// simlint::entry(service_path)\npub fn serve() { stage(); }\n\
-             fn stage() { x.unwrap(); }",
+            "// simlint::entry(service_path)\n\
+             pub fn serve(x: Option<u64>) { x.unwrap(); stage(); }\n\
+             fn stage(xs: &[u64]) { let _ = xs[0]; }\n\
+             fn island(y: Option<u64>) { y.unwrap(); }",
         )]);
-        // Lexical P001 owns this file; P101 must not double-report.
-        assert!(diags.iter().all(|d| d.rule != "P101"), "{diags:?}");
+        let p: Vec<_> = diags
+            .iter()
+            .filter(|d| d.rule == "P101")
+            .map(|d| (d.enclosing_fn.as_deref().unwrap(), d.message.as_str()))
+            .collect();
+        assert_eq!(p.len(), 2, "{diags:?}");
+        assert_eq!(p[0].0, "serve");
+        assert!(p[0].1.contains("in service_path entry `a::serve`"), "{p:?}");
+        assert_eq!(p[1].0, "stage");
+        assert!(p[1].1.contains("via a::serve → a::stage"), "{p:?}");
+    }
+
+    #[test]
+    fn h101_follows_an_entry_with_impl_trait_arguments() {
+        let diags = run(&[(
+            "crates/a/src/lib.rs",
+            "impl Phase {\n\
+             // simlint::entry(hot_path)\n\
+             pub fn step(&mut self, limit: impl Into<u64>) -> impl Copy { stage(); }\n\
+             }\n\
+             fn stage() { let v = Vec::new(); }",
+        )]);
+        let h: Vec<_> = diags.iter().filter(|d| d.rule == "H101").collect();
+        assert_eq!(h.len(), 1, "{diags:?}");
+        assert_eq!(h[0].enclosing_fn.as_deref(), Some("stage"));
     }
 
     #[test]
     fn t101_depth_one_only() {
-        let (diags, _) = run(&[(
+        let diags = run(&[(
             "crates/a/src/lib.rs",
             "pub fn direct(ns: f64) -> Picos { Picos::from_ns(ns) }\n\
              pub fn one_hop(ns: f64) { mk(ns); }\n\
@@ -311,7 +283,7 @@ mod tests {
 
     #[test]
     fn d101_flags_hash_reaching_emission() {
-        let (diags, _) = run(&[
+        let diags = run(&[
             (
                 "crates/a/src/lib.rs",
                 "pub fn tally() { let m: HashMap<u64, u64> = make(); report::dump(); }\n\
@@ -325,18 +297,5 @@ mod tests {
         let d: Vec<_> = diags.iter().filter(|d| d.rule == "D101").collect();
         assert_eq!(d.len(), 1, "{diags:?}");
         assert_eq!(d[0].enclosing_fn.as_deref(), Some("tally"));
-    }
-
-    #[test]
-    fn notice_names_unannotated_reachable_crate() {
-        let (_, notices) = run(&[
-            (
-                "crates/a/src/lib.rs",
-                "// simlint::entry(service_path)\npub fn serve() { b_helper(); }",
-            ),
-            ("crates/b/src/lib.rs", "pub fn b_helper() {}"),
-        ]);
-        assert_eq!(notices.len(), 1, "{notices:?}");
-        assert!(notices[0].contains("crate `b`"));
     }
 }

@@ -27,10 +27,6 @@ pub struct FileCheck<'a> {
     pub tokens: &'a [Token],
     /// Per-token context, same length as `tokens`.
     pub contexts: &'a [TokenContext],
-    /// Entry scopes declared anywhere in the file via
-    /// `// simlint::entry(SCOPE)` — the annotation-driven replacement
-    /// for the old hand-maintained file lists.
-    pub entry_scopes: &'a [String],
 }
 
 impl FileCheck<'_> {
@@ -45,11 +41,6 @@ impl FileCheck<'_> {
             enclosing_fn: self.contexts[i].enclosing_fn.clone(),
             key: key.to_string(),
         }
-    }
-
-    /// Whether the file declares an entry of `scope`.
-    fn has_entry(&self, scope: &str) -> bool {
-        self.entry_scopes.iter().any(|s| s == scope)
     }
 
     fn is_ident(&self, i: usize, text: &str) -> bool {
@@ -76,10 +67,9 @@ impl FileCheck<'_> {
 
 /// One static-analysis rule.
 pub trait Rule {
-    /// Stable identifier (`D001`, `P001`, ...).
+    /// Stable identifier (`D001`, `R001`, ...); its summary lives in
+    /// [`crate::RULES`].
     fn id(&self) -> &'static str;
-    /// One-line description for `--list-rules` and docs.
-    fn summary(&self) -> &'static str;
     /// Whether this rule runs on `path` at all.
     fn applies_to(&self, path: &str) -> bool;
     /// Scans one file and reports violations.
@@ -92,16 +82,9 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(D001),
         Box::new(D002),
         Box::new(D003),
-        Box::new(H001),
-        Box::new(P001),
         Box::new(R001),
         Box::new(X001),
     ]
-}
-
-/// Ids valid in `simlint::allow(...)` comments.
-pub fn known_rule_ids() -> Vec<&'static str> {
-    all_rules().iter().map(|r| r.id()).collect()
 }
 
 // ---------------------------------------------------------------- D001
@@ -121,9 +104,6 @@ pub struct D001;
 impl Rule for D001 {
     fn id(&self) -> &'static str {
         "D001"
-    }
-    fn summary(&self) -> &'static str {
-        "no wall-clock reads (Instant::now / SystemTime / elapsed) outside the bench harness"
     }
     fn applies_to(&self, path: &str) -> bool {
         !D001_PATH_ALLOW.iter().any(|p| path.starts_with(p))
@@ -190,9 +170,6 @@ impl Rule for D002 {
     fn id(&self) -> &'static str {
         "D002"
     }
-    fn summary(&self) -> &'static str {
-        "no HashMap/HashSet in simulation crates (iteration order is nondeterministic)"
-    }
     fn applies_to(&self, path: &str) -> bool {
         D002_SCOPE.iter().any(|p| path.starts_with(p))
     }
@@ -252,9 +229,6 @@ impl Rule for D003 {
     fn id(&self) -> &'static str {
         "D003"
     }
-    fn summary(&self) -> &'static str {
-        "no f32/f64 arithmetic in clock/timing modules (integer picoseconds only)"
-    }
     fn applies_to(&self, path: &str) -> bool {
         D003_SCOPE.contains(&path)
     }
@@ -279,158 +253,6 @@ impl Rule for D003 {
                     &t.text,
                     format!("`{}` in a timing module — keep time integral", t.text),
                 ));
-            }
-        }
-        out
-    }
-}
-
-// ---------------------------------------------------------------- H001
-
-/// H001: no heap allocation constructs in files that declare a
-/// `hot_path` entry point.
-///
-/// Flags `Box::new`, `Vec::new`, `vec![...]`, `.collect()` (including
-/// turbofish) and `.to_vec()` in any file carrying a
-/// `// simlint::entry(hot_path)` annotation — one allocation there
-/// runs millions of times per sweep; the zero-allocation steady-state
-/// contract (DESIGN.md) is enforced at runtime by the counting
-/// allocator in `tests/alloc_steady.rs` and statically by this rule
-/// plus the interprocedural H101, which follows the call graph out of
-/// the annotated files. Construction-time allocations (done once per
-/// system/run, not per beat) are legitimate — suppress them with a
-/// justified `simlint::allow(H001)` naming the setup path they sit on.
-pub struct H001;
-
-impl Rule for H001 {
-    fn id(&self) -> &'static str {
-        "H001"
-    }
-    fn summary(&self) -> &'static str {
-        "no allocation constructs (Box::new / Vec::new / vec! / collect / to_vec) in hot_path entry files"
-    }
-    fn applies_to(&self, _path: &str) -> bool {
-        true // gated per-file on the hot_path entry annotation below
-    }
-    fn check(&self, f: &FileCheck) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        if !f.has_entry("hot_path") {
-            return out;
-        }
-        for i in 0..f.tokens.len() {
-            if f.contexts[i].in_test {
-                continue;
-            }
-            for owner in ["Box", "Vec"] {
-                if f.is_ident(i, owner)
-                    && f.is_punct(i + 1, ":")
-                    && f.is_punct(i + 2, ":")
-                    && f.is_ident(i + 3, "new")
-                {
-                    out.push(f.diag(
-                        self.id(),
-                        i,
-                        &format!("{owner}::new"),
-                        format!(
-                            "`{owner}::new` allocates on the hot path — hoist the buffer \
-                             into a reusable workspace"
-                        ),
-                    ));
-                }
-            }
-            if f.is_ident(i, "vec") && f.is_punct(i + 1, "!") {
-                out.push(
-                    f.diag(
-                        self.id(),
-                        i,
-                        "vec!",
-                        "`vec![...]` allocates on the hot path — hoist the buffer out of the loop"
-                            .to_string(),
-                    ),
-                );
-            } else if f.is_ident(i, "collect") && (f.is_punct(i + 1, "(") || f.is_punct(i + 1, ":"))
-            {
-                out.push(
-                    f.diag(
-                        self.id(),
-                        i,
-                        "collect",
-                        "`.collect()` materializes on the hot path — reuse a hoisted buffer \
-                     or iterate lazily"
-                            .to_string(),
-                    ),
-                );
-            } else if f.is_ident(i, "to_vec") && f.is_punct(i + 1, "(") {
-                out.push(
-                    f.diag(
-                        self.id(),
-                        i,
-                        "to_vec",
-                        "`.to_vec()` clones on the hot path — borrow or reuse a hoisted buffer"
-                            .to_string(),
-                    ),
-                );
-            }
-        }
-        out
-    }
-}
-
-// ---------------------------------------------------------------- P001
-
-/// P001: no panicking constructs in files that declare a
-/// `service_path` entry point.
-///
-/// Errors on the service path must flow through the crates' `Error`
-/// enums, not abort the simulation. The old hand-maintained file list
-/// is gone: a file is in scope exactly when it carries a
-/// `// simlint::entry(service_path)` annotation, and the
-/// interprocedural P101 follows the call graph out of those files so
-/// helpers one call away no longer sail through.
-pub struct P001;
-
-impl Rule for P001 {
-    fn id(&self) -> &'static str {
-        "P001"
-    }
-    fn summary(&self) -> &'static str {
-        "no unwrap/expect/panic!/unreachable! in service_path entry files"
-    }
-    fn applies_to(&self, _path: &str) -> bool {
-        true // gated per-file on the service_path entry annotation below
-    }
-    fn check(&self, f: &FileCheck) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        if !f.has_entry("service_path") {
-            return out;
-        }
-        for i in 0..f.tokens.len() {
-            if f.contexts[i].in_test {
-                continue;
-            }
-            for name in ["unwrap", "expect"] {
-                if f.is_ident(i, name) && f.is_punct(i + 1, "(") {
-                    out.push(f.diag(
-                        self.id(),
-                        i,
-                        name,
-                        format!(
-                            "`{name}()` on the service path — return an `Error` variant instead"
-                        ),
-                    ));
-                }
-            }
-            for name in ["panic", "unreachable", "todo", "unimplemented"] {
-                if f.is_ident(i, name) && f.is_punct(i + 1, "!") {
-                    out.push(f.diag(
-                        self.id(),
-                        i,
-                        name,
-                        format!(
-                            "`{name}!` on the service path — return an `Error` variant instead"
-                        ),
-                    ));
-                }
             }
         }
         out
@@ -467,18 +289,15 @@ const R001_SCOPE: &[&str] = &[
 /// `addr as u32` silently truncates; address math must use
 /// `try_into()`/`try_from()` or prove the bound with an explicit mask
 /// in an allowlisted function. The rule also covers the per-vault
-/// controller: its fused paced-run loops convert the driver's `u128`
-/// femtosecond clock to `u64` picoseconds, and a bare `as` there would
-/// silently wrap at the clock ceiling instead of saturating
-/// (`Picos::from_fs_clock`).
+/// controller: `RunPacing::arrival` converts the driver's `u128`
+/// femtosecond clock to `u64` picoseconds for every paced beat, and a
+/// bare `as` there would silently wrap at the clock ceiling instead of
+/// saturating (`Picos::from_fs_clock`).
 pub struct R001;
 
 impl Rule for R001 {
     fn id(&self) -> &'static str {
         "R001"
-    }
-    fn summary(&self) -> &'static str {
-        "no bare narrowing `as` casts in mem3d/layout address arithmetic (use try_into/checked ops)"
     }
     fn applies_to(&self, path: &str) -> bool {
         R001_SCOPE.contains(&path)
@@ -533,9 +352,6 @@ impl Rule for X001 {
     fn id(&self) -> &'static str {
         "X001"
     }
-    fn summary(&self) -> &'static str {
-        "no Ordering::Relaxed in sim-exec outside the allowlisted hot counters"
-    }
     fn applies_to(&self, path: &str) -> bool {
         path.starts_with("crates/sim-exec/")
     }
@@ -571,13 +387,10 @@ mod tests {
     fn check_at(path: &str, src: &str) -> Vec<Diagnostic> {
         let l = lex(src).unwrap();
         let ctxs = contexts(&l.tokens, false);
-        let (items, _) = crate::parse::parse_file(path, &l.tokens, &ctxs, &l.comments);
-        let entry_scopes: Vec<String> = items.iter().flat_map(|f| f.entries.clone()).collect();
         let file = FileCheck {
             path,
             tokens: &l.tokens,
             contexts: &ctxs,
-            entry_scopes: &entry_scopes,
         };
         let mut out = Vec::new();
         for rule in all_rules() {
@@ -627,49 +440,6 @@ mod tests {
     }
 
     #[test]
-    fn h001_flags_allocations_in_annotated_files_only() {
-        let src = "// simlint::entry(hot_path)\n\
-                   fn beat() { let b = Box::new(s); let v = Vec::new(); let w = vec![0; 4]; \
-                   let c = it.collect::<Vec<_>>(); let d = xs.to_vec(); }";
-        let d = check_at("crates/core/src/phases.rs", src);
-        assert_eq!(d.iter().filter(|d| d.rule == "H001").count(), 5);
-        let unannotated = src.lines().nth(1).unwrap();
-        assert!(check_at("crates/core/src/phases.rs", unannotated)
-            .iter()
-            .all(|d| d.rule != "H001"));
-    }
-
-    #[test]
-    fn h001_skips_tests_and_non_allocating_idioms() {
-        let test_src = "// simlint::entry(hot_path)\nfn beat() {}\n\
-                        #[cfg(test)] mod tests { fn f() { let v = vec![1]; } }";
-        assert!(check_at("crates/tenancy/src/service.rs", test_src).is_empty());
-        let clean = "// simlint::entry(hot_path)\n\
-                     fn beat() { buf.clear(); buf.push(x); let n = xs.iter().count(); }";
-        assert!(check_at("crates/tenancy/src/service.rs", clean).is_empty());
-    }
-
-    #[test]
-    fn p001_flags_panicking_constructs() {
-        let src = "// simlint::entry(service_path)\n\
-                   fn service() { a.unwrap(); b.expect(\"m\"); panic!(\"x\"); unreachable!(); }";
-        let d: Vec<_> = check_at("crates/mem3d/src/system.rs", src)
-            .into_iter()
-            .filter(|d| d.rule == "P001")
-            .collect();
-        assert_eq!(d.len(), 4);
-    }
-
-    #[test]
-    fn p001_does_not_flag_unwrap_or() {
-        let src = "// simlint::entry(service_path)\n\
-                   fn service() { let x = a.unwrap_or(0).unwrap_or_default(); }";
-        assert!(check_at("crates/mem3d/src/system.rs", src)
-            .iter()
-            .all(|d| d.rule != "P001"));
-    }
-
-    #[test]
     fn r001_flags_narrowing_not_widening() {
         let src = "fn decode() { let a = x as u32; let b = x as u64; let c = x as u128; }";
         let d = check_at("crates/mem3d/src/address.rs", src);
@@ -689,11 +459,13 @@ mod tests {
     }
 
     #[test]
-    fn rule_ids_are_unique_and_sorted() {
-        let ids = known_rule_ids();
-        let mut sorted = ids.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(ids, sorted);
+    fn every_lexical_rule_is_in_the_rule_table() {
+        for rule in all_rules() {
+            assert!(
+                crate::RULES.iter().any(|(id, _)| *id == rule.id()),
+                "{} missing from RULES",
+                rule.id()
+            );
+        }
     }
 }

@@ -1,7 +1,7 @@
 // simlint-fixture-path: crates/tenancy/src/service.rs
-// Allocation constructs inside the per-beat event loop are flagged:
-// every one of these runs once per grant, and the steady-state
-// contract is zero heap allocations per beat.
+// Allocation constructs in a hot_path entry itself (call depth 0) are
+// flagged: every one of these runs once per grant, and the
+// steady-state contract is zero heap allocations per beat.
 // simlint::entry(hot_path)
 fn arbitrate(running: &[Job], vault: usize) -> usize {
     let mut contenders = Vec::new();

@@ -4,7 +4,7 @@
 // the setup path; test code is exempt by construction.
 // simlint::entry(hot_path)
 fn setup(tenants: usize) -> Vec<Slot> {
-    // simlint::allow(H001): run-setup allocation, sized once before the event loop
+    // simlint::allow(H101): run-setup allocation, sized once before the event loop
     let slots = vec![Slot::default(); tenants];
     slots
 }

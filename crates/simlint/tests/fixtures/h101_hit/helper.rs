@@ -1,5 +1,5 @@
 // simlint-fixture-path: crates/tenancy/src/scratch.rs
-// Not annotated: the collect() is invisible to lexical H001 but still
+// Not annotated: the collect() is invisible to this file alone but still
 // runs once per beat via `beat` → `gather`. The island fn is
 // unreachable and stays clean.
 

@@ -1,6 +1,6 @@
 // simlint-fixture-path: crates/mem3d/src/system.rs
-// Panicking constructs on the service path are flagged; a justified
-// allow silences one; unwrap_or-style combinators never match.
+// Panicking constructs in a service_path entry itself (call depth 0)
+// are flagged; a justified allow silences one; unwrap_or never matches.
 // simlint::entry(service_path)
 fn service(x: Option<u64>, y: Option<u64>) -> u64 {
     let a = x.unwrap();
@@ -8,7 +8,7 @@ fn service(x: Option<u64>, y: Option<u64>) -> u64 {
     if a + b == 0 {
         panic!("impossible");
     }
-    // simlint::allow(P001): bounds were checked by the caller
+    // simlint::allow(P101): bounds were checked by the caller
     let c = x.unwrap();
     a + b + c + x.unwrap_or_default()
 }

@@ -1,5 +1,5 @@
 // simlint-fixture-path: crates/mem3d/src/route.rs
-// Not annotated, so lexical P001 never runs here. The unwrap is still
+// Not annotated and no entry of its own. The unwrap is still
 // a service-path panic because `dispatch` reaches it. The island fn
 // and the test module stay exempt: unreachable and test code never
 // gate.

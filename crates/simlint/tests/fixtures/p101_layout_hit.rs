@@ -1,5 +1,5 @@
 // simlint-fixture-path: crates/layout/src/family.rs
-// The family registry is P001 scope: `FamilyId::build` is how the
+// The family registry is P101 scope: `FamilyId::build` is how the
 // explorer probes infeasible candidates, so a panicking constructor
 // aborts a whole design-space sweep instead of landing the parameter
 // in `SkipCounts`. Tests stay exempt.

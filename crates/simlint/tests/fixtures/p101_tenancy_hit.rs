@@ -1,7 +1,7 @@
 // simlint-fixture-path: crates/tenancy/src/arbiter.rs
-// The tenancy arbitration path is P001 scope: a panicking pick would
+// The tenancy arbitration path is P101 scope: a panicking pick would
 // abort every tenant's job, so indexing mistakes must surface as
-// fallback choices, never as panics. Tests stay exempt.
+// fallback choices, never as panics — `owners[0]` included.
 // simlint::entry(service_path)
 fn pick(credit: &mut Vec<u64>, vault: usize, owners: &[usize]) -> usize {
     let lane = credit.get_mut(vault).unwrap();

@@ -133,10 +133,7 @@ fn dir_fixtures_match_expected_diagnostics() {
 fn every_rule_has_a_positive_fixture() {
     // Guards fixture rot: each shipped rule must keep at least one
     // fixture that exercises a hit.
-    let mut uncovered: Vec<&str> = vec![
-        "D001", "D002", "D003", "H001", "P001", "R001", "X001", "A001", "A002", "A003", "D101",
-        "H101", "P101", "T101",
-    ];
+    let mut uncovered: Vec<&str> = simlint::RULES.iter().map(|(id, _)| *id).collect();
     for fixture in fixtures() {
         let expected = fs::read_to_string(fixture.with_extension("expected")).unwrap_or_default();
         uncovered.retain(|r| !expected.contains(&format!("[{r}]")));
@@ -154,9 +151,9 @@ fn every_rule_has_a_positive_fixture() {
 #[test]
 fn interprocedural_rules_catch_what_lexical_rules_miss() {
     // The acceptance bar for the `*101` family: on the same fixture,
-    // the helper file analysed *alone* (lexical rules only see one
-    // un-annotated file) reports nothing, while the workspace analysis
-    // flags the violation one call level deep.
+    // the helper file analysed *alone* (no entry reaches it) reports
+    // nothing, while the workspace analysis flags the violation one
+    // call level deep.
     for (dir, rule) in [("p101_hit", "P101"), ("h101_hit", "H101")] {
         let helper = fixture_dir().join(dir).join("helper.rs");
         let src = fs::read_to_string(&helper).expect("readable helper");
@@ -177,10 +174,21 @@ fn interprocedural_rules_catch_what_lexical_rules_miss() {
 }
 
 #[test]
+fn folded_lexical_ids_are_no_longer_rules() {
+    // The file-scoped panic and allocation rules were folded into
+    // P101/H101 as their call-depth-0 case; their old ids name nothing.
+    let known = simlint::known_rule_ids();
+    for retired in ["P001", "H001"] {
+        assert!(!known.contains(&retired), "{retired} is still allowable");
+        assert!(simlint::RULES.iter().all(|(id, _)| *id != retired));
+    }
+}
+
+#[test]
 fn json_output_round_trips_through_sim_util_json() {
     use sim_util::json::{parse, Value};
 
-    let fixture = fixture_dir().join("p001_hit.rs");
+    let fixture = fixture_dir().join("p101_entry_hit.rs");
     let src = fs::read_to_string(&fixture).expect("readable fixture");
     let path = logical_path(&src, &fixture);
     let diags = check_source(&path, &src);

@@ -84,3 +84,30 @@ fn callgraph_covers_the_core_service_spine() {
         "MemorySystem::service_burst_fast not reachable from service_path entries"
     );
 }
+
+#[test]
+fn design_rule_table_lists_exactly_the_rules() {
+    // DESIGN.md's "Rules" table documents every rule; it must name the
+    // same ids as `simlint::RULES`, no more and no fewer.
+    let here = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let root = simlint::walk::find_workspace_root(here).expect("workspace root");
+    let design = std::fs::read_to_string(root.join("DESIGN.md")).expect("DESIGN.md");
+    let table = design
+        .split("\n### Rules\n")
+        .nth(1)
+        .and_then(|rest| rest.split("\n### ").next())
+        .expect("DESIGN.md has a `### Rules` section");
+    let mut documented: Vec<&str> = table
+        .lines()
+        .filter_map(|l| l.strip_prefix("| "))
+        .filter_map(|l| l.split(' ').next())
+        .filter(|id| id.len() == 4 && id[1..].bytes().all(|b| b.is_ascii_digit()))
+        .collect();
+    documented.sort_unstable();
+    let mut ids: Vec<&str> = simlint::RULES.iter().map(|(id, _)| *id).collect();
+    ids.sort_unstable();
+    assert_eq!(
+        documented, ids,
+        "DESIGN.md's rule table and simlint::RULES disagree"
+    );
+}

@@ -5,7 +5,8 @@
 //! tenants' next beats target the same vault and are all ready by the
 //! time the vault's TSV frees up, an [`Arbiter`] picks which one is
 //! granted. Everything here is on the service path: no panicking
-//! constructs (enforced by simlint rule P001).
+//! constructs (enforced by simlint rule P101: the service's
+//! `service_path` entries reach every `pick`).
 
 use mem3d::Picos;
 

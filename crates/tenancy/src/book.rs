@@ -72,28 +72,40 @@ impl SpecBook {
             .saturating_mul(geom.banks_per_layer as u64)
             .saturating_mul(geom.layers as u64)
             .max(1);
-        let round_up = |v: u64| v.div_ceil(align) * align;
+        // The aligned end of an arena at `base`, checked: a base near
+        // the top of the address space is a config error, not a wrap.
+        let aligned_end = |i: usize, t: &TenantSpec, base: u64, e: &Entry| {
+            base.checked_add(e.footprint)
+                .and_then(|end| end.div_ceil(align).checked_mul(align))
+                .ok_or_else(|| {
+                    TenancyError::Config(format!(
+                        "tenant {i} ({}) arena at {base} runs past the 64-bit address space",
+                        t.name
+                    ))
+                })
+        };
         let mut bases = vec![0u64; tenants.len()];
         let mut cursor = 0u64;
-        for (i, t) in tenants.iter().enumerate() {
+        for (i, ((t, e), base)) in tenants.iter().zip(&entries).zip(&mut bases).enumerate() {
             if let Some(b) = t.base_offset {
-                bases[i] = b;
-                cursor = cursor.max(round_up(b + entries[i].footprint));
+                *base = b;
+                cursor = cursor.max(aligned_end(i, t, b, e)?);
             }
         }
-        for (i, t) in tenants.iter().enumerate() {
+        for (i, ((t, e), base)) in tenants.iter().zip(&entries).zip(&mut bases).enumerate() {
             if t.base_offset.is_none() {
-                bases[i] = cursor;
-                cursor = round_up(cursor + entries[i].footprint);
+                *base = cursor;
+                cursor = aligned_end(i, t, cursor, e)?;
             }
         }
         let capacity = geom.capacity_bytes();
-        for (i, t) in tenants.iter().enumerate() {
-            let end = bases[i] + entries[i].footprint;
+        for (i, ((t, e), &base)) in tenants.iter().zip(&entries).zip(&bases).enumerate() {
+            // Both loops above proved `base + footprint` fits a u64.
+            let end = base.saturating_add(e.footprint);
             if end > capacity {
                 return Err(TenancyError::Config(format!(
-                    "tenant {i} ({}) arena [{}, {end}) exceeds the {capacity}-byte device",
-                    t.name, bases[i]
+                    "tenant {i} ({}) arena [{base}, {end}) exceeds the {capacity}-byte device",
+                    t.name
                 )));
             }
         }

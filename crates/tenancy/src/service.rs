@@ -44,7 +44,8 @@
 //! loops as unopposed ones, steady-state jump included.
 //!
 //! Everything here is on the service path: no panicking constructs
-//! (simlint rule P001).
+//! (simlint rule P101, from the `run_isolated` and `run_scenario`
+//! entries).
 
 use std::collections::VecDeque;
 
@@ -235,7 +236,7 @@ fn run_shared(
         .iter()
         .enumerate()
         .map(|(i, t)| ArrivalSource::new(&root, i as u64, t.traffic))
-        .collect();
+        .collect::<Result<_, _>>()?;
     let mut mem = fresh_mem(&scenario.platform)?;
     let mut arbiter = kind.build(tenants, scenario.platform.geometry.vaults);
     let adm = scenario.admission;
@@ -281,7 +282,7 @@ fn run_shared(
         // time-stamped, so processing order cannot leak a slot early).
         let mut i = 0;
         while i < running.len() {
-            if running[i].phase.peek().is_some() {
+            if running.get_mut(i).is_some_and(|r| r.phase.peek().is_some()) {
                 i += 1;
                 continue;
             }
@@ -320,7 +321,7 @@ fn run_shared(
                     bytes: r.bytes,
                 });
                 if let Some(src) = sources.get_mut(r.tenant) {
-                    src.job_done(r.client, rep.end);
+                    src.job_done(r.client, rep.end)?;
                 }
             }
         }
@@ -415,7 +416,7 @@ fn run_shared(
                     _ => {
                         bump(&mut counts, ti, |c| c.rejected += 1);
                         if let Some(src) = sources.get_mut(ti) {
-                            src.job_done(client, t);
+                            src.job_done(client, t)?;
                         }
                     }
                 }
@@ -428,7 +429,7 @@ fn run_shared(
                     if late {
                         bump(&mut counts, h.tenant, |c| c.timed_out += 1);
                         if let Some(src) = sources.get_mut(h.tenant) {
-                            src.job_done(h.client, t);
+                            src.job_done(h.client, t)?;
                         }
                     } else {
                         admit_job(book, &mem, &mut running, &mut slots, &mut counts, h, t, si)?;
@@ -657,6 +658,73 @@ mod tests {
             ],
             seed,
         )
+    }
+
+    /// One baseline column tenant on `traffic`, run under round robin.
+    fn run_one(traffic: Traffic, base_offset: Option<u64>) -> Result<ServiceReport, TenancyError> {
+        let tenant = TenantSpec {
+            base_offset,
+            ..TenantSpec::new(
+                "h",
+                spec(Architecture::Baseline, 64, JobShape::Column),
+                traffic,
+            )
+        };
+        run_scenario(
+            &Scenario::new(vec![tenant], 1),
+            ArbiterKind::RoundRobin,
+            None,
+        )
+    }
+
+    fn assert_config_error(r: Result<ServiceReport, TenancyError>) {
+        let e = r.err();
+        assert!(matches!(e, Some(TenancyError::Config(_))), "{e:?}");
+    }
+
+    #[test]
+    fn a_job_count_past_u64_is_rejected_by_validation() {
+        assert_config_error(run_one(
+            Traffic::Closed {
+                clients: u64::MAX,
+                jobs_per_client: 2,
+                think: Picos::ZERO,
+                think_jitter: Picos::ZERO,
+            },
+            None,
+        ));
+    }
+
+    #[test]
+    fn an_arena_past_the_address_space_is_a_config_error() {
+        let once = Traffic::Open {
+            arrivals: Arrivals::Immediate,
+            jobs: 1,
+        };
+        assert_config_error(run_one(once, Some(u64::MAX - 10)));
+    }
+
+    #[test]
+    fn arrivals_past_the_clock_are_a_config_error() {
+        let periodic = Traffic::Open {
+            arrivals: Arrivals::Periodic {
+                period: Picos(u64::MAX / 2),
+                jitter: Picos::ZERO,
+            },
+            jobs: 3,
+        };
+        assert_config_error(run_one(periodic, None));
+    }
+
+    #[test]
+    fn a_think_time_past_the_clock_is_a_config_error() {
+        let closed = Traffic::Closed {
+            clients: 1,
+            jobs_per_client: 2,
+            think: Picos(u64::MAX - 5),
+            think_jitter: Picos::ZERO,
+        };
+        assert_config_error(run_one(closed, None));
     }
 
     /// Up to four tenants on random architectures, sizes, shapes,

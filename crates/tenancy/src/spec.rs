@@ -161,11 +161,20 @@ impl Scenario {
                     t.name, t.job.n
                 )));
             }
-            if t.traffic.total_jobs() == 0 {
-                return Err(TenancyError::Config(format!(
-                    "tenant {i} ({}) submits no jobs",
-                    t.name
-                )));
+            match t.traffic.checked_total_jobs() {
+                Some(0) => {
+                    return Err(TenancyError::Config(format!(
+                        "tenant {i} ({}) submits no jobs",
+                        t.name
+                    )))
+                }
+                None => {
+                    return Err(TenancyError::Config(format!(
+                        "tenant {i} ({}) submits more than 2^64 - 1 jobs",
+                        t.name
+                    )))
+                }
+                Some(_) => {}
             }
         }
         Ok(())

@@ -9,6 +9,8 @@
 use mem3d::Picos;
 use sim_util::SimRng;
 
+use crate::TenancyError;
+
 /// Inter-arrival process of an open-loop tenant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Arrivals {
@@ -42,19 +44,13 @@ pub enum Arrivals {
 }
 
 impl Arrivals {
-    /// The next inter-arrival gap. `index` is the 0-based arrival
-    /// number (the first job's gap is measured from time zero).
-    fn gap(&self, rng: &mut SimRng, index: u64) -> Picos {
-        match *self {
+    /// The next inter-arrival gap, `None` past the clock ceiling.
+    /// `index` is the 0-based arrival number (the first job's gap is
+    /// measured from time zero).
+    fn gap(&self, rng: &mut SimRng, index: u64) -> Option<Picos> {
+        Some(match *self {
             Arrivals::Immediate => Picos::ZERO,
-            Arrivals::Periodic { period, jitter } => {
-                let j = if jitter == Picos::ZERO {
-                    0
-                } else {
-                    rng.gen_range(0..=jitter.as_ps())
-                };
-                period + Picos(j)
-            }
+            Arrivals::Periodic { period, jitter } => later(period, Picos::ZERO, jitter, rng)?,
             Arrivals::Uniform { lo, hi } => {
                 let (lo, hi) = (lo.as_ps().min(hi.as_ps()), lo.as_ps().max(hi.as_ps()));
                 Picos(rng.gen_range(lo..=hi))
@@ -73,8 +69,22 @@ impl Arrivals {
                     spacing
                 }
             }
-        }
+        })
     }
+}
+
+/// `at + fixed` plus a uniform draw in `[0, jitter]` (no draw when
+/// `jitter` is zero), or `None` past the `u64` picosecond clock.
+fn later(at: Picos, fixed: Picos, jitter: Picos, rng: &mut SimRng) -> Option<Picos> {
+    let j = if jitter == Picos::ZERO {
+        0
+    } else {
+        rng.gen_range(0..=jitter.as_ps())
+    };
+    at.as_ps()
+        .checked_add(fixed.as_ps())?
+        .checked_add(j)
+        .map(Picos)
 }
 
 /// How a tenant generates load.
@@ -106,15 +116,23 @@ pub enum Traffic {
 }
 
 impl Traffic {
-    /// Total jobs this tenant will submit over the whole run.
+    /// Total jobs this tenant will submit over the whole run,
+    /// saturating at `u64::MAX` (a scenario whose count overflows fails
+    /// validation).
     pub fn total_jobs(&self) -> u64 {
+        self.checked_total_jobs().unwrap_or(u64::MAX)
+    }
+
+    /// [`total_jobs`](Self::total_jobs), `None` when
+    /// `clients × jobs_per_client` overflows.
+    pub(crate) fn checked_total_jobs(&self) -> Option<u64> {
         match *self {
-            Traffic::Open { jobs, .. } => jobs,
+            Traffic::Open { jobs, .. } => Some(jobs),
             Traffic::Closed {
                 clients,
                 jobs_per_client,
                 ..
-            } => clients * jobs_per_client,
+            } => clients.checked_mul(jobs_per_client),
         }
     }
 }
@@ -142,7 +160,16 @@ struct ClientState {
 
 impl ArrivalSource {
     /// Builds tenant `tenant_id`'s source from the scenario's root rng.
-    pub(crate) fn new(root: &SimRng, tenant_id: u64, kind: Traffic) -> ArrivalSource {
+    ///
+    /// # Errors
+    ///
+    /// [`TenancyError::Config`] when an open-loop arrival falls past
+    /// the `u64` picosecond clock.
+    pub(crate) fn new(
+        root: &SimRng,
+        tenant_id: u64,
+        kind: Traffic,
+    ) -> Result<ArrivalSource, TenancyError> {
         let mut rng = root.fork(tenant_id);
         let mut open = std::collections::VecDeque::new();
         let mut clients = Vec::new();
@@ -150,7 +177,15 @@ impl ArrivalSource {
             Traffic::Open { arrivals, jobs } => {
                 let mut t = Picos::ZERO;
                 for i in 0..jobs {
-                    t += arrivals.gap(&mut rng, i);
+                    t = arrivals
+                        .gap(&mut rng, i)
+                        .and_then(|g| t.as_ps().checked_add(g.as_ps()))
+                        .map(Picos)
+                        .ok_or_else(|| {
+                            TenancyError::Config(format!(
+                                "tenant {tenant_id}: arrival {i} falls past the picosecond clock"
+                            ))
+                        })?;
                     open.push_back(t);
                 }
             }
@@ -167,12 +202,12 @@ impl ArrivalSource {
                 }
             }
         }
-        ArrivalSource {
+        Ok(ArrivalSource {
             rng,
             kind,
             open,
             clients,
-        }
+        })
     }
 
     /// The earliest pending arrival, as `(time, client)`; `None` when
@@ -203,27 +238,33 @@ impl ArrivalSource {
     /// Closed loop only: client `client`'s job finished (or was
     /// dropped) at `at`; schedule its next submission after the think
     /// time. Open-loop sources ignore this.
-    pub(crate) fn job_done(&mut self, client: usize, at: Picos) {
+    ///
+    /// # Errors
+    ///
+    /// [`TenancyError::Config`] when the next submission falls past
+    /// the `u64` picosecond clock.
+    pub(crate) fn job_done(&mut self, client: usize, at: Picos) -> Result<(), TenancyError> {
         let Traffic::Closed {
             think,
             think_jitter,
             ..
         } = self.kind
         else {
-            return;
+            return Ok(());
         };
         let Some(s) = self.clients.get_mut(client) else {
-            return;
+            return Ok(());
         };
         if s.remaining == 0 {
-            return;
+            return Ok(());
         }
-        let j = if think_jitter == Picos::ZERO {
-            0
-        } else {
-            self.rng.gen_range(0..=think_jitter.as_ps())
-        };
-        s.next_at = Some(at + think + Picos(j));
+        let next = later(at, think, think_jitter, &mut self.rng).ok_or_else(|| {
+            TenancyError::Config(format!(
+                "client {client}'s think time runs past the picosecond clock"
+            ))
+        })?;
+        s.next_at = Some(next);
+        Ok(())
     }
 }
 
@@ -241,8 +282,8 @@ mod tests {
             },
             jobs: 20,
         };
-        let mut a = ArrivalSource::new(&root, 3, kind);
-        let mut b = ArrivalSource::new(&root, 3, kind);
+        let mut a = ArrivalSource::new(&root, 3, kind).unwrap();
+        let mut b = ArrivalSource::new(&root, 3, kind).unwrap();
         let mut last = Picos::ZERO;
         for _ in 0..20 {
             let (ta, ca) = a.peek().unwrap();
@@ -266,8 +307,8 @@ mod tests {
             },
             jobs: 4,
         };
-        let a = ArrivalSource::new(&root, 0, kind);
-        let b = ArrivalSource::new(&root, 1, kind);
+        let a = ArrivalSource::new(&root, 0, kind).unwrap();
+        let b = ArrivalSource::new(&root, 1, kind).unwrap();
         assert_ne!(a.peek(), b.peek(), "distinct tenants get distinct streams");
     }
 
@@ -282,7 +323,7 @@ mod tests {
             },
             jobs: 4,
         };
-        let mut src = ArrivalSource::new(&root, 0, kind);
+        let mut src = ArrivalSource::new(&root, 0, kind).unwrap();
         let mut times = Vec::new();
         while let Some((t, c)) = src.peek() {
             times.push(t.as_ps());
@@ -300,17 +341,17 @@ mod tests {
             think: Picos(50),
             think_jitter: Picos::ZERO,
         };
-        let mut src = ArrivalSource::new(&root, 0, kind);
+        let mut src = ArrivalSource::new(&root, 0, kind).unwrap();
         // Both clients pending at t = 0; client 0 sorts first.
         assert_eq!(src.peek(), Some((Picos::ZERO, 0)));
         src.pop(0);
         assert_eq!(src.peek(), Some((Picos::ZERO, 1)));
         src.pop(1);
         assert_eq!(src.peek(), None, "all clients in flight");
-        src.job_done(0, Picos(1000));
+        src.job_done(0, Picos(1000)).unwrap();
         assert_eq!(src.peek(), Some((Picos(1050), 0)));
         src.pop(0);
-        src.job_done(0, Picos(3000));
+        src.job_done(0, Picos(3000)).unwrap();
         assert_eq!(src.peek(), None, "client 0 exhausted its budget");
     }
 }
