@@ -39,6 +39,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 /// Total `dealloc` calls since process start.
 static DEALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+/// Total bytes requested by `alloc`, `alloc_zeroed` and `realloc`
+/// (its new size) since process start.
+static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// A [`GlobalAlloc`] that forwards to [`System`] and counts calls.
 ///
@@ -66,6 +69,7 @@ impl Default for CountingAlloc {
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
@@ -76,11 +80,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATED_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -96,4 +102,10 @@ pub fn allocations() -> u64 {
 /// Deallocation calls so far. See [`allocations`] for caveats.
 pub fn deallocations() -> u64 {
     DEALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// Bytes requested by allocation calls so far (a `realloc` counts its
+/// new size). See [`allocations`] for caveats.
+pub fn allocated_bytes() -> u64 {
+    ALLOCATED_BYTES.load(Ordering::Relaxed)
 }

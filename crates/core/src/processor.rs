@@ -37,8 +37,8 @@ impl ProcessorModel {
         // tiny problems simply narrow the datapath.
         let lanes = lanes.min(params.n);
         let kernel_cfg = KernelConfig::forward(params.n, lanes);
-        let kernel = StreamingFft::new(kernel_cfg)?;
-        let kernel_resources = kernel.resources();
+        kernel_cfg.validate()?;
+        let kernel_resources = kernel_cfg.resources();
         let reorg_buffer_bytes = if reorg_h == 0 {
             0
         } else {
@@ -110,9 +110,7 @@ impl ProcessorModel {
 
     /// Kernel fill latency in wall-clock time.
     pub fn kernel_latency(&self) -> Picos {
-        // simlint::allow(P101): kernel_cfg was validated when the model was built
-        let kernel = StreamingFft::new(self.kernel_cfg).expect("config validated at build");
-        self.clock() * kernel.latency_cycles()
+        self.clock() * self.kernel_cfg.latency_cycles()
     }
 
     /// A fresh kernel instance for functional simulation.
@@ -174,9 +172,21 @@ mod tests {
 
     #[test]
     fn invalid_kernel_config_is_reported() {
-        let mut p = params(512);
-        p.n = 500; // not a power of two
-        assert!(ProcessorModel::new(&p, 8, 0, &VIRTEX7_690T).is_err());
+        // Exactly the configurations whose kernel cannot be built.
+        for n in [0usize, 1, 2, 3, 12, 64, 500, 512, 2048] {
+            for lanes in [0usize, 1, 3, 8, 64] {
+                let mut p = params(512);
+                p.n = n;
+                let built = StreamingFft::new(KernelConfig::forward(n, lanes.min(n)));
+                match ProcessorModel::new(&p, lanes, 0, &VIRTEX7_690T) {
+                    Ok(_) => assert!(built.is_ok(), "n = {n}, lanes = {lanes}"),
+                    Err(e) => {
+                        assert!(matches!(e, Fft2dError::Kernel(_)), "{e:?}");
+                        assert!(built.is_err(), "n = {n}, lanes = {lanes}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

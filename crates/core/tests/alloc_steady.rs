@@ -3,14 +3,18 @@
 //! queue, a full [`fft2d::run_phase`] — reads, delayed writes,
 //! event-driven fast path — performs **zero** heap allocations, and so
 //! does a [`fft2d::ResumablePhase`] over borrowed streams opened,
-//! stepped at finite horizons and finished.
+//! stepped at finite horizons and finished. Costing the processor —
+//! [`fft2d::ProcessorModel::new`] and its kernel latency, which every
+//! `run_app` and explored design point pays — allocates nothing either:
+//! the kernel is costed in closed form, not built.
 //!
 //! This must stay the only `#[test]` in this file: the global counting
 //! allocator tallies every thread in the process, so a concurrently
 //! running sibling test would pollute the measured windows.
 
 use alloc_counter::CountingAlloc;
-use fft2d::{run_phase, DriverConfig, ResumablePhase};
+use fft2d::{run_phase, DriverConfig, ProcessorModel, ResumablePhase};
+use fpga_model::resources::devices::VIRTEX7_690T;
 use layout::{row_phase_stream, LayoutParams, MatrixLayout, RowMajor};
 use mem3d::{Direction, Geometry, MemorySystem, Picos, RequestSource, TimingParams};
 
@@ -22,6 +26,7 @@ fn warmed_run_phase_allocates_nothing() {
     let geom = Geometry::default();
     let timing = TimingParams::default();
     let params = LayoutParams::for_device(128, &geom, &timing);
+    let big = LayoutParams::for_device(2048, &geom, &timing);
     let layout = RowMajor::interleaved(&params);
     let cfg = DriverConfig {
         ps_per_byte: 31.25,
@@ -30,6 +35,23 @@ fn warmed_run_phase_allocates_nothing() {
         latency_probe_bytes: 0,
     };
     let mut mem = MemorySystem::new(geom, timing);
+
+    // Processor costing at the paper's largest size, for the baseline
+    // (no reorganization buffer) and a reorganizing family.
+    let before = alloc_counter::allocations();
+    let mut latency = Picos::ZERO;
+    for reorg_h in [0, 64] {
+        let proc = ProcessorModel::new(&big, 8, reorg_h, &VIRTEX7_690T).expect("processor");
+        latency += proc.kernel_latency();
+    }
+    let after = alloc_counter::allocations();
+    assert!(latency > Picos::ZERO);
+    assert_eq!(
+        after - before,
+        0,
+        "costing a processor must not build a kernel (twiddle ROMs, \
+         frame buffers, digit-reversal tables)"
+    );
 
     let run = |mem: &mut MemorySystem, at: Picos| {
         let mut writes = row_phase_stream(&layout, Direction::Write);

@@ -5,8 +5,16 @@
 //! [`crate::Radix4Block`]) and a TFC unit ([`crate::TfcUnit`]) — followed
 //! by a final unscrambling permutation that restores natural order.
 //! The kernel accepts `width` complex elements per cycle, sustains that
-//! rate indefinitely across back-to-back frames, and has a fill latency
-//! of `stages × N/width` cycles plus a small arithmetic pipeline depth.
+//! rate indefinitely across back-to-back frames, and has the fill latency
+//! given by [`KernelConfig::latency_cycles`].
+//!
+//! The hardware cost of a kernel — stage count, adders, multipliers,
+//! twiddle ROM and fill latency — is a closed-form function of its
+//! [`KernelConfig`] ([`KernelConfig::resources`],
+//! [`KernelConfig::latency_cycles`]), so costing a processor builds no
+//! kernel. [`StreamingFft::resources`] and [`StreamingFft::latency_cycles`]
+//! read the same figures off the built stages; they are the reference
+//! the closed forms are tested against.
 //!
 //! Stages use decimation in frequency, so inputs arrive in natural order
 //! (exactly how the memory system streams them) and only the final output
@@ -16,8 +24,9 @@ use permute::Permutation;
 
 use crate::{Cplx, FftDirection, KernelError, Radix, Radix2Block, Radix4Block, TfcUnit};
 
-/// Extra pipeline registers per butterfly stage (adder and multiplier
-/// latency), counted into [`StreamingFft::latency_cycles`].
+/// Extra pipeline registers per frame stage — each butterfly stage and
+/// the unscrambler (adder and multiplier latency), counted into
+/// [`KernelConfig::latency_cycles`].
 pub const ARITH_PIPELINE_CYCLES: u64 = 8;
 
 /// Configuration of a [`StreamingFft`].
@@ -77,6 +86,58 @@ impl KernelConfig {
             });
         }
         Ok(())
+    }
+
+    /// Hardware inventory of the kernel this configuration builds, in
+    /// closed form: per butterfly stage `max(width/r, 1)` radix blocks
+    /// and `max(width - width/r, 1)` complex multipliers, a twiddle ROM
+    /// of `max(block/2, 1)` (radix-2) or `max(3·block/4, 1)` (radix-4)
+    /// words for the stage's block `n / r^s`, and a double-buffered
+    /// frame per stage and for the unscrambler.
+    ///
+    /// Meaningful for a configuration that passes
+    /// [`validate`](Self::validate); equal to [`StreamingFft::resources`]
+    /// of the built kernel.
+    pub fn resources(&self) -> KernelResources {
+        let p = self.width;
+        let r = self.radix.arity();
+        let stages = self.stages();
+        let blocks = (p / r).max(1);
+        let r_bits = r.trailing_zeros();
+        let rom_words: usize = (0..stages as u32)
+            .map(|s| {
+                let block = self.n >> (s * r_bits);
+                match self.radix {
+                    Radix::R2 => block / 2,
+                    Radix::R4 => block / 4 * 3,
+                }
+                .max(1)
+            })
+            .sum();
+        KernelResources {
+            stages,
+            radix_blocks: stages * blocks,
+            complex_adders: stages * blocks * self.radix.complex_adders(),
+            complex_multipliers: stages * (p - p / r).max(1),
+            rom_bytes: rom_words.saturating_mul(Cplx::STORAGE_BYTES as usize),
+            buffer_words: self.n.saturating_mul(2).saturating_mul(stages + 1),
+        }
+    }
+
+    /// Fill latency in cycles, from the first input to the first output:
+    ///
+    /// `(stages + 1) · (n / width + ARITH_PIPELINE_CYCLES)`
+    ///
+    /// — one frame of `n / width` cycles plus [`ARITH_PIPELINE_CYCLES`]
+    /// for every butterfly stage and for the final unscrambler.
+    ///
+    /// Meaningful for a configuration that passes
+    /// [`validate`](Self::validate); equal to
+    /// [`StreamingFft::latency_cycles`] of the built kernel.
+    pub fn latency_cycles(&self) -> u64 {
+        let frames = self.stages() as u64 + 1;
+        let frame = (self.n / self.width.max(1)) as u64;
+        frames.saturating_mul(frame.saturating_add(ARITH_PIPELINE_CYCLES))
     }
 }
 
@@ -276,8 +337,8 @@ impl StreamingFft {
         self.cycles
     }
 
-    /// Fill latency: cycles from the first input to the first output,
-    /// including arithmetic pipeline depth.
+    /// Fill latency counted over the built frame stages; the reference
+    /// for [`KernelConfig::latency_cycles`], which gives the formula.
     pub fn latency_cycles(&self) -> u64 {
         let frames = self.stages.len() as u64;
         frames * (self.cfg.n / self.cfg.width) as u64 + frames * ARITH_PIPELINE_CYCLES
@@ -354,28 +415,28 @@ impl StreamingFft {
         Ok(out)
     }
 
-    /// Resource summary for the FPGA model.
+    /// Hardware inventory summed over the built stages; the reference
+    /// for [`KernelConfig::resources`].
     pub fn resources(&self) -> KernelResources {
         let p = self.cfg.width;
-        let r = self.cfg.radix.arity();
-        let stages = self.cfg.stages();
-        let rom_bytes = self
-            .stages
-            .iter()
-            .map(|s| match &s.op {
-                StageOp::Radix2 { tfc, .. } | StageOp::Radix4 { tfc, .. } => tfc.rom_bytes(),
-                StageOp::Unscramble(_) => 0,
-            })
-            .sum();
-        KernelResources {
-            stages,
-            radix_blocks: stages * (p / r).max(1),
-            complex_adders: stages * (p / r).max(1) * self.cfg.radix.complex_adders(),
-            complex_multipliers: stages * (p - p / r).max(1),
-            rom_bytes,
-            // Every stage plus the unscrambler double-buffers one frame.
-            buffer_words: (stages + 1) * 2 * self.cfg.n,
+        let mut res = KernelResources::default();
+        for stage in &self.stages {
+            // Every stage, the unscrambler included, double-buffers one
+            // frame.
+            res.buffer_words += 2 * stage.fill.len();
+            let (radix, tfc) = match &stage.op {
+                StageOp::Radix2 { tfc, .. } => (Radix::R2, tfc),
+                StageOp::Radix4 { tfc, .. } => (Radix::R4, tfc),
+                StageOp::Unscramble(_) => continue,
+            };
+            let blocks = (p / radix.arity()).max(1);
+            res.stages += 1;
+            res.radix_blocks += blocks;
+            res.complex_adders += blocks * radix.complex_adders();
+            res.complex_multipliers += (p - p / radix.arity()).max(1);
+            res.rom_bytes += tfc.rom_bytes();
         }
+        res
     }
 
     /// Total real multiplications performed so far by all TFC units.
@@ -399,7 +460,7 @@ impl StreamingFft {
 }
 
 /// Hardware inventory of one kernel instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelResources {
     /// Butterfly stages.
     pub stages: usize,
@@ -447,7 +508,6 @@ pub fn digit_reversal(n: usize, r: usize) -> Result<Permutation, KernelError> {
             out
         })
         .collect();
-    // simlint::allow(P101): digit reversal is an involution on 0..n — always a bijection
     Ok(Permutation::from_map(map).expect("digit reversal is a bijection"))
 }
 
@@ -573,6 +633,7 @@ mod tests {
         let mut k = StreamingFft::new(cfg).unwrap();
         // Radix-4: 3 stages + unscramble = 4 frames of 8 cycles each.
         assert_eq!(k.latency_cycles(), 4 * 8 + 4 * ARITH_PIPELINE_CYCLES);
+        assert_eq!(cfg.latency_cycles(), k.latency_cycles());
         let x = random_signal(64, 1);
         k.transform(&x).unwrap();
         assert!(k.cycles() >= 8, "at least one frame of pushes");
@@ -589,6 +650,34 @@ mod tests {
         assert!(r.complex_multipliers > 0);
         assert!(r.rom_bytes > 0);
         assert_eq!(r.buffer_words, 5 * 2 * 256);
+    }
+
+    #[test]
+    fn closed_form_costs_match_the_built_kernel() {
+        let widths = [0usize, 1, 3, 2, 4, 8, 16, 32, 64];
+        let mut valid = 0;
+        for log_n in 0..=14 {
+            let n = 1usize << log_n;
+            for width in widths {
+                for radix in [Radix::R2, Radix::R4] {
+                    for direction in [FftDirection::Forward, FftDirection::Inverse] {
+                        let cfg = KernelConfig {
+                            n,
+                            width,
+                            radix,
+                            direction,
+                        };
+                        let built = StreamingFft::new(cfg);
+                        assert_eq!(cfg.validate().is_ok(), built.is_ok(), "{cfg:?}");
+                        let Ok(k) = built else { continue };
+                        assert_eq!(cfg.resources(), k.resources(), "{cfg:?}");
+                        assert_eq!(cfg.latency_cycles(), k.latency_cycles(), "{cfg:?}");
+                        valid += 1;
+                    }
+                }
+            }
+        }
+        assert!(valid > 200, "only {valid} valid configurations checked");
     }
 
     #[test]

@@ -391,7 +391,7 @@ fn run_shared(
             Next::Done => break,
             Next::Arrival(t, ti, client) => {
                 if let Some(src) = sources.get_mut(ti) {
-                    src.pop(client);
+                    src.pop(client)?;
                 }
                 let job = next_job_id;
                 next_job_id += 1;

@@ -137,18 +137,23 @@ impl Traffic {
     }
 }
 
-/// One tenant's live arrival source: pre-materialized times for open
-/// traffic, completion-driven resubmission state for closed traffic.
-/// All randomness is drawn from the tenant's forked stream in a fixed
-/// order, so the schedule is a pure function of `(seed, tenant_id)`.
+/// One tenant's live arrival source: the next arrival time for open
+/// traffic (each later one drawn when its predecessor is consumed, so a
+/// source costs the same at any job count), completion-driven
+/// resubmission state for closed traffic. All randomness is drawn from
+/// the tenant's forked stream in a fixed order, so the schedule is a
+/// pure function of `(seed, tenant_id)`.
 #[derive(Debug)]
 pub(crate) struct ArrivalSource {
     rng: SimRng,
     kind: Traffic,
-    /// Open loop: remaining arrival times, ascending (drained from the
-    /// front). Closed loop: next submission time per client, `None`
-    /// once the client is done or waiting on a completion.
-    open: std::collections::VecDeque<Picos>,
+    tenant_id: u64,
+    /// Open loop: the next arrival time, `None` once all are out.
+    next_open: Option<Picos>,
+    /// Open loop: arrivals drawn so far, `next_open` included.
+    drawn: u64,
+    /// Closed loop: next submission time per client, `None` once the
+    /// client is done or waiting on a completion.
     clients: Vec<ClientState>,
 }
 
@@ -163,58 +168,70 @@ impl ArrivalSource {
     ///
     /// # Errors
     ///
-    /// [`TenancyError::Config`] when an open-loop arrival falls past
-    /// the `u64` picosecond clock.
+    /// [`TenancyError::Config`] when the first open-loop arrival falls
+    /// past the `u64` picosecond clock; a later one fails when it is
+    /// drawn ([`pop`](Self::pop)).
     pub(crate) fn new(
         root: &SimRng,
         tenant_id: u64,
         kind: Traffic,
     ) -> Result<ArrivalSource, TenancyError> {
-        let mut rng = root.fork(tenant_id);
-        let mut open = std::collections::VecDeque::new();
-        let mut clients = Vec::new();
+        let mut src = ArrivalSource {
+            rng: root.fork(tenant_id),
+            kind,
+            tenant_id,
+            next_open: None,
+            drawn: 0,
+            clients: Vec::new(),
+        };
         match kind {
-            Traffic::Open { arrivals, jobs } => {
-                let mut t = Picos::ZERO;
-                for i in 0..jobs {
-                    t = arrivals
-                        .gap(&mut rng, i)
-                        .and_then(|g| t.as_ps().checked_add(g.as_ps()))
-                        .map(Picos)
-                        .ok_or_else(|| {
-                            TenancyError::Config(format!(
-                                "tenant {tenant_id}: arrival {i} falls past the picosecond clock"
-                            ))
-                        })?;
-                    open.push_back(t);
-                }
-            }
+            Traffic::Open { .. } => src.draw_open(Picos::ZERO)?,
             Traffic::Closed {
                 clients: n,
                 jobs_per_client,
                 ..
             } => {
                 for _ in 0..n {
-                    clients.push(ClientState {
+                    src.clients.push(ClientState {
                         next_at: (jobs_per_client > 0).then_some(Picos::ZERO),
                         remaining: jobs_per_client,
                     });
                 }
             }
         }
-        Ok(ArrivalSource {
-            rng,
-            kind,
-            open,
-            clients,
-        })
+        Ok(src)
+    }
+
+    /// Open loop: draws the arrival after the one at `prev`, if any
+    /// remain.
+    fn draw_open(&mut self, prev: Picos) -> Result<(), TenancyError> {
+        let Traffic::Open { arrivals, jobs } = self.kind else {
+            return Ok(());
+        };
+        if self.drawn >= jobs {
+            return Ok(());
+        }
+        let i = self.drawn;
+        let t = arrivals
+            .gap(&mut self.rng, i)
+            .and_then(|g| prev.as_ps().checked_add(g.as_ps()))
+            .map(Picos)
+            .ok_or_else(|| {
+                TenancyError::Config(format!(
+                    "tenant {}: arrival {i} falls past the picosecond clock",
+                    self.tenant_id
+                ))
+            })?;
+        self.next_open = Some(t);
+        self.drawn += 1;
+        Ok(())
     }
 
     /// The earliest pending arrival, as `(time, client)`; `None` when
     /// nothing is currently pending (closed-loop clients may all be
     /// waiting on completions).
     pub(crate) fn peek(&self) -> Option<(Picos, usize)> {
-        if let Some(&t) = self.open.front() {
+        if let Some(t) = self.next_open {
             return Some((t, 0));
         }
         self.clients
@@ -224,15 +241,22 @@ impl ArrivalSource {
             .min()
     }
 
-    /// Consumes the arrival returned by [`peek`](Self::peek).
-    pub(crate) fn pop(&mut self, client: usize) {
-        if self.open.pop_front().is_some() {
-            return;
+    /// Consumes the arrival returned by [`peek`](Self::peek); an open
+    /// source draws its next arrival.
+    ///
+    /// # Errors
+    ///
+    /// [`TenancyError::Config`] when the next open-loop arrival falls
+    /// past the `u64` picosecond clock.
+    pub(crate) fn pop(&mut self, client: usize) -> Result<(), TenancyError> {
+        if let Some(t) = self.next_open.take() {
+            return self.draw_open(t);
         }
         if let Some(s) = self.clients.get_mut(client) {
             s.next_at = None;
             s.remaining = s.remaining.saturating_sub(1);
         }
+        Ok(())
     }
 
     /// Closed loop only: client `client`'s job finished (or was
@@ -291,8 +315,8 @@ mod tests {
             assert_eq!(ta, tb, "same (seed, tenant) must reproduce");
             assert!(ta >= last);
             last = ta;
-            a.pop(ca);
-            b.pop(ca);
+            a.pop(ca).unwrap();
+            b.pop(ca).unwrap();
         }
         assert!(a.peek().is_none());
     }
@@ -327,7 +351,7 @@ mod tests {
         let mut times = Vec::new();
         while let Some((t, c)) = src.peek() {
             times.push(t.as_ps());
-            src.pop(c);
+            src.pop(c).unwrap();
         }
         assert_eq!(times, vec![0, 5, 105, 110]);
     }
@@ -344,14 +368,110 @@ mod tests {
         let mut src = ArrivalSource::new(&root, 0, kind).unwrap();
         // Both clients pending at t = 0; client 0 sorts first.
         assert_eq!(src.peek(), Some((Picos::ZERO, 0)));
-        src.pop(0);
+        src.pop(0).unwrap();
         assert_eq!(src.peek(), Some((Picos::ZERO, 1)));
-        src.pop(1);
+        src.pop(1).unwrap();
         assert_eq!(src.peek(), None, "all clients in flight");
         src.job_done(0, Picos(1000)).unwrap();
         assert_eq!(src.peek(), Some((Picos(1050), 0)));
-        src.pop(0);
+        src.pop(0).unwrap();
         src.job_done(0, Picos(3000)).unwrap();
         assert_eq!(src.peek(), None, "client 0 exhausted its budget");
+    }
+
+    /// The schedule as the source used to materialize it up front:
+    /// every gap drawn in order from the tenant's forked stream.
+    fn eager_schedule(root: &SimRng, tenant_id: u64, arrivals: Arrivals, jobs: u64) -> Vec<u64> {
+        let mut rng = root.fork(tenant_id);
+        let mut t = 0u64;
+        (0..jobs)
+            .map(|i| {
+                t += arrivals.gap(&mut rng, i).unwrap().as_ps();
+                t
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lazy_arrivals_follow_the_eager_schedule() {
+        let root = SimRng::seed_from_u64(5);
+        for arrivals in [
+            Arrivals::Immediate,
+            Arrivals::Periodic {
+                period: Picos(1_000),
+                jitter: Picos(300),
+            },
+            Arrivals::Uniform {
+                lo: Picos(10),
+                hi: Picos(5_000),
+            },
+            Arrivals::Bursty {
+                burst: 7,
+                spacing: Picos(20),
+                gap: Picos(9_000),
+            },
+        ] {
+            let expect = eager_schedule(&root, 2, arrivals, 1000);
+            let kind = Traffic::Open {
+                arrivals,
+                jobs: 1 << 40,
+            };
+            let mut src = ArrivalSource::new(&root, 2, kind).unwrap();
+            for (i, &t) in expect.iter().enumerate() {
+                let (at, c) = src.peek().unwrap();
+                assert_eq!((at.as_ps(), c), (t, 0), "{arrivals:?} arrival {i}");
+                src.pop(c).unwrap();
+            }
+            assert!(src.peek().is_some(), "{arrivals:?}: more than 1000 remain");
+
+            // A short source ends exactly after its last arrival.
+            let kind = Traffic::Open { arrivals, jobs: 3 };
+            let mut src = ArrivalSource::new(&root, 2, kind).unwrap();
+            for &t in &expect[..3] {
+                assert_eq!(src.peek(), Some((Picos(t), 0)));
+                src.pop(0).unwrap();
+            }
+            assert_eq!(src.peek(), None);
+        }
+    }
+
+    #[test]
+    fn an_arrival_past_the_clock_fails_when_drawn() {
+        let root = SimRng::seed_from_u64(3);
+        let open = |arrivals| Traffic::Open {
+            arrivals,
+            jobs: 1 << 20,
+        };
+        // Arrivals at u64::MAX / 2 and u64::MAX - 1; the third cannot
+        // fit, and random gaps over the whole clock overflow within a
+        // few dozen draws.
+        for (arrivals, most) in [
+            (
+                Arrivals::Periodic {
+                    period: Picos(u64::MAX / 2),
+                    jitter: Picos::ZERO,
+                },
+                1,
+            ),
+            (
+                Arrivals::Uniform {
+                    lo: Picos(1),
+                    hi: Picos(u64::MAX),
+                },
+                64,
+            ),
+        ] {
+            let mut src = ArrivalSource::new(&root, 0, open(arrivals)).unwrap();
+            let mut popped = 0u64;
+            let err = loop {
+                let (_, c) = src.peek().unwrap();
+                match src.pop(c) {
+                    Ok(()) => popped += 1,
+                    Err(e) => break e,
+                }
+            };
+            assert!(matches!(err, TenancyError::Config(_)), "{err:?}");
+            assert!(popped <= most, "{arrivals:?}: {popped} arrivals fit");
+        }
     }
 }
