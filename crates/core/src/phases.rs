@@ -368,28 +368,18 @@ impl DriverState {
     /// Queues every run after `first` that repeats it moved by one
     /// constant forward step, keeping the first one that does not.
     fn gather<S: RequestSource>(&mut self, reads: &mut S, first: TraceRun) {
-        let mut last = first;
-        while self.queued < u32::MAX {
-            let Some(run) = reads.next_run() else { break };
-            let step = match self.queued {
-                0 => run.op.addr.checked_sub(last.op.addr).filter(|&d| d > 0),
-                _ => Some(self.step),
-            };
-            match step.filter(|&d| last.moved(d) == Some(run)) {
-                Some(d) => {
-                    if self.queued == 0 {
-                        self.next = run;
-                        self.step = d;
-                    }
-                    self.queued += 1;
-                    last = run;
-                }
-                None => {
-                    self.ahead = Some(run);
-                    break;
-                }
-            }
-        }
+        let (train, ahead) = TraceTrain::gather(first, reads);
+        self.ahead = ahead;
+        self.queued = train.repeats;
+        self.step = train.step;
+        // The first queued run (never read when none is queued).
+        self.next = TraceRun {
+            op: TraceOp {
+                addr: first.op.addr.wrapping_add(train.step),
+                ..first.op
+            },
+            ..first
+        };
     }
 
     /// Makes the next queued run current.

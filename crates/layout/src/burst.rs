@@ -14,7 +14,8 @@
 
 use mem3d::AddressMapKind;
 
-use crate::{LayoutError, LayoutParams, MatrixLayout};
+use crate::matrix::BlockGrid;
+use crate::{Axis, LayoutError, LayoutParams, MatrixLayout};
 
 /// How many burst blocks pack into one DRAM row (the burst is a
 /// quarter row: 2 KiB under the default 8 KiB geometry).
@@ -151,6 +152,24 @@ impl MatrixLayout for BurstInterleaved {
             && band + self.h <= self.n
             && g + self.w <= self.n)
             .then(|| self.addr(band, g))
+    }
+
+    fn progression(
+        &self,
+        row: usize,
+        col: usize,
+        rows: usize,
+        cols: usize,
+        axis: Axis,
+    ) -> Option<(u64, usize)> {
+        BlockGrid {
+            n: self.n,
+            elem_bytes: self.elem_bytes,
+            w: self.w,
+            h: self.h,
+            rotated: true,
+        }
+        .progression(row, col, rows, cols, axis)
     }
 }
 

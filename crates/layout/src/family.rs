@@ -12,8 +12,9 @@
 //! The **fast-path hook** is inherited rather than re-invented: every
 //! default stream is the crate's one segment stream, whose walk
 //! consults the underlying [`MatrixLayout`]'s contiguity hooks
-//! (`row_run`, `row_stride`, `group_block_addr`, `row_block_addr`) to
-//! cost one address call per contiguous segment, and whose `next_run`
+//! (`row_run`, `row_stride`, `group_block_addr`, `row_block_addr`,
+//! `progression`) to cost one address call per progression of
+//! contiguous segments, and whose `next_run`
 //! emits multi-beat [`mem3d::TraceRun`]s wherever the segments prove
 //! strided or whole-row spans. A family that cannot prove anything simply leaves
 //! those hooks at their defaults and the same stream degrades

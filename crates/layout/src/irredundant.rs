@@ -19,7 +19,8 @@
 
 use mem3d::AddressMapKind;
 
-use crate::{LayoutError, LayoutParams, MatrixLayout};
+use crate::matrix::BlockGrid;
+use crate::{Axis, LayoutError, LayoutParams, MatrixLayout};
 
 /// The irredundant (rotation-free, block-column-major) layout. See the
 /// module docs.
@@ -122,6 +123,24 @@ impl MatrixLayout for Irredundant {
             && band + self.h <= self.n
             && g + self.w <= self.n)
             .then(|| self.addr(band, g))
+    }
+
+    fn progression(
+        &self,
+        row: usize,
+        col: usize,
+        rows: usize,
+        cols: usize,
+        axis: Axis,
+    ) -> Option<(u64, usize)> {
+        BlockGrid {
+            n: self.n,
+            elem_bytes: self.elem_bytes,
+            w: self.w,
+            h: self.h,
+            rotated: false,
+        }
+        .progression(row, col, rows, cols, axis)
     }
 }
 

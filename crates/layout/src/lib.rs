@@ -66,7 +66,7 @@ pub use family::{
     RowMajorFamily, TiledFamily,
 };
 pub use irredundant::Irredundant;
-pub use matrix::{BlockDynamic, ColMajor, MatrixLayout, RowMajor, Tiled};
+pub use matrix::{Axis, BlockDynamic, ColMajor, MatrixLayout, RowMajor, Tiled};
 pub use params::LayoutParams;
 pub use reorg::ReorgCost;
 pub use trace::{

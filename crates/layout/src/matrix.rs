@@ -95,6 +95,126 @@ pub trait MatrixLayout: std::fmt::Debug {
         let _ = (band, g, rows, cols);
         None
     }
+
+    /// A **progression** of blocks: `Some((step, count))` only when each
+    /// of the `count ≥ 1` blocks after the `rows × cols` block at
+    /// `(row, col)` along `axis` — moved `i·rows` rows down
+    /// ([`Axis::Down`]) or `i·cols` columns right ([`Axis::Across`]),
+    /// `i` in `1..=count` — lies inside the matrix and is stored exactly
+    /// as that block moved `i·step` bytes: for every element `(r, c)`
+    /// of the block, `addr(r + i·rows, c) == addr(r, c) + i·step` (or
+    /// `addr(r, c + i·cols)` across). The claim may stop short of the
+    /// truth (at a diagonal wrap seam, say) but never overshoots it.
+    /// Lets a walk describe a train of equally shaped segments — whole
+    /// rows, columns or blocks — in O(1) instead of one
+    /// [`addr`](Self::addr) call per segment. The default claims
+    /// nothing.
+    fn progression(
+        &self,
+        row: usize,
+        col: usize,
+        rows: usize,
+        cols: usize,
+        axis: Axis,
+    ) -> Option<(u64, usize)> {
+        let _ = (row, col, rows, cols, axis);
+        None
+    }
+}
+
+/// The direction a [`MatrixLayout::progression`] moves its block in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Axis {
+    /// Down the matrix, one block height at a time.
+    Down,
+    /// Right along the matrix, one block width at a time.
+    Across,
+}
+
+/// Blocks of `size` after the one at `from` that still fit an axis of
+/// length `n`: the most a progression along it may claim.
+fn blocks_after(n: usize, from: usize, size: usize) -> usize {
+    if size == 0 || from + size > n {
+        0
+    } else {
+        (n - from) / size - 1
+    }
+}
+
+/// A progression of `count` blocks, `step` elements of `elem_bytes`
+/// bytes apart; `None` for no blocks.
+fn claim(step: usize, count: usize, elem_bytes: usize) -> Option<(u64, usize)> {
+    (count > 0).then_some(((step * elem_bytes) as u64, count))
+}
+
+/// The progression fact shared by the `w × h` block layouts: blocks are
+/// stored column-major inside, and placed band by band with the DDL's
+/// diagonal rotation (`rotated`: block `(bc, br)` in slot
+/// `br·(n/w) + (bc + br) mod (n/w)`) or block column by block column
+/// (slot `bc·(n/h) + br`).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BlockGrid {
+    pub n: usize,
+    pub elem_bytes: usize,
+    pub w: usize,
+    pub h: usize,
+    pub rotated: bool,
+}
+
+impl BlockGrid {
+    /// [`MatrixLayout::progression`] for this grid. A block inside one
+    /// layout block moves inside it: down by `rows` elements, across by
+    /// `cols·h`. Whole aligned blocks move by whole slots: a constant
+    /// number without the rotation; with it, only while the rotated
+    /// slot of a one-block-wide column (down) or one-block-tall band
+    /// (across) does not wrap.
+    pub(crate) fn progression(
+        self,
+        row: usize,
+        col: usize,
+        rows: usize,
+        cols: usize,
+        axis: Axis,
+    ) -> Option<(u64, usize)> {
+        let BlockGrid {
+            n,
+            elem_bytes: e,
+            w,
+            h,
+            rotated,
+        } = self;
+        if rows == 0 || cols == 0 {
+            return None;
+        }
+        let (block, per_band, bands) = (w * h, n / w, n / h);
+        // Rotated slots left in this block's band row before the wrap.
+        let unwrapped = || per_band - 1 - (col / w + row / h) % per_band;
+        match axis {
+            Axis::Down if row.is_multiple_of(h) && rows.is_multiple_of(h) => {
+                let (m, fit) = (rows / h, blocks_after(n, row, rows));
+                if !rotated {
+                    claim(m * block, fit, e)
+                } else if col % w + cols <= w {
+                    claim(m * (per_band + 1) * block, fit.min(unwrapped() / m), e)
+                } else {
+                    None
+                }
+            }
+            Axis::Down if row % h + rows <= h => claim(rows, (h - row % h) / rows - 1, e),
+            Axis::Across if col.is_multiple_of(w) && cols.is_multiple_of(w) => {
+                let (m, fit) = (cols / w, blocks_after(n, col, cols));
+                if !rotated {
+                    claim(m * bands * block, fit, e)
+                } else if row % h + rows <= h {
+                    claim(m * block, fit.min(unwrapped() / m), e)
+                } else {
+                    None
+                }
+            }
+            Axis::Across if col % w + cols <= w => claim(cols * h, (w - col % w) / cols - 1, e),
+            _ => None,
+        }
+    }
 }
 
 /// Row-major order. With the default [`AddressMapKind::Chunked`]
@@ -163,6 +283,25 @@ impl MatrixLayout for RowMajor {
 
     fn row_run(&self) -> usize {
         self.n
+    }
+
+    fn progression(
+        &self,
+        row: usize,
+        col: usize,
+        rows: usize,
+        cols: usize,
+        axis: Axis,
+    ) -> Option<(u64, usize)> {
+        // Every block moves as a whole: whole rows down, columns across.
+        match axis {
+            Axis::Down => claim(
+                rows * self.n,
+                blocks_after(self.n, row, rows),
+                self.elem_bytes,
+            ),
+            Axis::Across => claim(cols, blocks_after(self.n, col, cols), self.elem_bytes),
+        }
     }
 }
 
@@ -352,6 +491,34 @@ impl MatrixLayout for Tiled {
             && g + cols <= self.n)
             .then(|| self.addr(band, g))
     }
+
+    fn progression(
+        &self,
+        row: usize,
+        col: usize,
+        rows: usize,
+        cols: usize,
+        axis: Axis,
+    ) -> Option<(u64, usize)> {
+        // Whole aligned tiles move by whole tiles; a block inside one
+        // tile moves inside it, a tile row (`tile_cols` elements) per
+        // matrix row.
+        let (n, tr, tc) = (self.n, self.tile_rows, self.tile_cols);
+        let tile = tr * tc;
+        let (step, count) = match axis {
+            _ if rows == 0 || cols == 0 => return None,
+            Axis::Down if row.is_multiple_of(tr) && rows.is_multiple_of(tr) => {
+                (rows / tr * (n / tc) * tile, blocks_after(n, row, rows))
+            }
+            Axis::Down if row % tr + rows <= tr => (rows * tc, (tr - row % tr) / rows - 1),
+            Axis::Across if col.is_multiple_of(tc) && cols.is_multiple_of(tc) => {
+                (cols / tc * tile, blocks_after(n, col, cols))
+            }
+            Axis::Across if col % tc + cols <= tc => (cols, (tc - col % tc) / cols - 1),
+            _ => return None,
+        };
+        claim(step, count, self.elem_bytes)
+    }
 }
 
 /// The paper's **block dynamic data layout**: the matrix is divided into
@@ -432,6 +599,16 @@ impl BlockDynamic {
         let bc = col / self.w;
         br * blocks_per_row + (bc + br) % blocks_per_row
     }
+
+    fn grid(&self) -> BlockGrid {
+        BlockGrid {
+            n: self.n,
+            elem_bytes: self.elem_bytes,
+            w: self.w,
+            h: self.h,
+            rotated: true,
+        }
+    }
 }
 
 impl MatrixLayout for BlockDynamic {
@@ -472,6 +649,17 @@ impl MatrixLayout for BlockDynamic {
             && band + self.h <= self.n
             && g + self.w <= self.n)
             .then(|| self.addr(band, g))
+    }
+
+    fn progression(
+        &self,
+        row: usize,
+        col: usize,
+        rows: usize,
+        cols: usize,
+        axis: Axis,
+    ) -> Option<(u64, usize)> {
+        self.grid().progression(row, col, rows, cols, axis)
     }
 }
 
@@ -698,6 +886,146 @@ mod tests {
         }
         assert_eq!(RowMajor::new(&params(64)).row_run(), 64);
         assert_eq!(Tiled::new(&params(64), 8, 16).unwrap().row_run(), 16);
+    }
+
+    /// Checks every progression `l` claims for `rows × cols` blocks
+    /// along `axis`, walking each line of blocks from `offset` the way
+    /// a stream consumes claims: a claim of `k` blocks is checked block
+    /// by block against `addr`, every element of every block — or, when
+    /// `sampled`, the corners of the first and last block, on the first,
+    /// middle and last line — and the walk resumes after it. Returns the
+    /// blocks claimed.
+    fn check_progressions(
+        l: &dyn MatrixLayout,
+        (rows, cols): (usize, usize),
+        axis: Axis,
+        offset: usize,
+        sampled: bool,
+    ) -> usize {
+        let n = l.n();
+        let (size, width) = match axis {
+            Axis::Down => (rows, cols),
+            Axis::Across => (cols, rows),
+        };
+        let mut claimed = 0;
+        let lines: Vec<usize> = (0..=n - width).step_by(width).collect();
+        let lines = if sampled {
+            vec![lines[0], lines[lines.len() / 2], lines[lines.len() - 1]]
+        } else {
+            lines
+        };
+        for line in lines {
+            let mut from = offset;
+            while from + size <= n {
+                let (row, col) = match axis {
+                    Axis::Down => (from, line),
+                    Axis::Across => (line, from),
+                };
+                let Some((step, k)) = l.progression(row, col, rows, cols, axis) else {
+                    from += size;
+                    continue;
+                };
+                assert!(k >= 1, "{l:?}: empty claim at ({row}, {col})");
+                let elems: Vec<(usize, usize)> = if sampled {
+                    let (r1, c1) = (row + rows - 1, col + cols - 1);
+                    vec![(row, col), (row, c1), (r1, col), (r1, c1)]
+                } else {
+                    (row..row + rows)
+                        .flat_map(|r| (col..col + cols).map(move |c| (r, c)))
+                        .collect()
+                };
+                let blocks: Vec<usize> = if sampled {
+                    vec![1, k]
+                } else {
+                    (1..=k).collect()
+                };
+                for i in blocks {
+                    for &(r, c) in &elems {
+                        let moved = match axis {
+                            Axis::Down => (r + i * rows, c),
+                            Axis::Across => (r, c + i * cols),
+                        };
+                        assert!(
+                            moved.0 < n && moved.1 < n,
+                            "{l:?}: a {rows}×{cols} claim at ({row}, {col}) leaves the matrix"
+                        );
+                        assert_eq!(
+                            l.addr(moved.0, moved.1),
+                            l.addr(r, c) + i as u64 * step,
+                            "{l:?}: {rows}×{cols} {axis:?} claim at ({row}, {col}), block {i}"
+                        );
+                    }
+                }
+                claimed += k;
+                from += (k + 1) * size;
+            }
+        }
+        claimed
+    }
+
+    #[test]
+    fn progressions_claim_only_repeated_blocks() {
+        // Every block shape a walk asks about — elements, whole rows and
+        // columns, row chunks, block-family cells, tiles — plus ragged
+        // and misaligned ones, from aligned and misaligned starts.
+        let mut claimed = 0;
+        for n in [64usize, 256, 1024, 2048] {
+            let fams: Vec<Box<dyn crate::LayoutFamily>> = if n <= 256 {
+                registry_layouts(n)
+            } else {
+                let p = params(n);
+                crate::FamilyId::ALL
+                    .iter()
+                    .map(|&id| id.build(&p, id.default_param(&p)).expect("defaults build"))
+                    .collect()
+            };
+            for fam in fams {
+                let l = fam.layout();
+                let cell = (l.column_run().min(n), fam.col_group());
+                let tile = (fam.reorg_rows().clamp(1, n), l.row_run());
+                let mut shapes = vec![(1, n), (n, 1), cell, tile];
+                if n <= 256 {
+                    shapes.extend([(1, 1), (1, l.row_run()), (3, 5), (cell.0, cell.1 + 1)]);
+                }
+                for shape in shapes.into_iter().filter(|&(r, c)| r <= n && c <= n) {
+                    for axis in [Axis::Down, Axis::Across] {
+                        for offset in [0, 1] {
+                            claimed += check_progressions(l, shape, axis, offset, n > 64);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(claimed > 0, "no layout claims a progression");
+        // The claims are not vacuous where the streams rely on them.
+        let p = params(64);
+        let rm = RowMajor::new(&p);
+        assert_eq!(rm.progression(0, 0, 1, 64, Axis::Down), Some((512, 63)));
+        assert_eq!(rm.progression(0, 5, 64, 1, Axis::Across), Some((8, 58)));
+        let t = Tiled::new(&p, 8, 16).unwrap();
+        assert_eq!(t.progression(8, 16, 8, 16, Axis::Down), Some((4 * 1024, 6)));
+        assert_eq!(t.progression(8, 16, 8, 16, Axis::Across), Some((1024, 2)));
+        // The DDL's diagonal: 4 × 16 blocks, 4 per band row; block
+        // column 1 wraps after band 2, band 1 after block column 2.
+        let b = BlockDynamic::with_height(&params(64), 16).unwrap();
+        assert_eq!(b.w, 64, "s = 1024 elements caps w at n");
+        let p = LayoutParams { s: 256, ..p };
+        let b = BlockDynamic::with_height(&p, 16).unwrap();
+        assert_eq!((b.w, b.h), (16, 16));
+        assert_eq!(
+            b.progression(0, 16, 16, 16, Axis::Down),
+            Some((5 * 2048, 2))
+        );
+        assert_eq!(b.progression(48, 16, 16, 16, Axis::Down), None, "last band");
+        assert_eq!(b.progression(16, 0, 16, 16, Axis::Across), Some((2048, 2)));
+        assert_eq!(
+            b.progression(16, 48, 16, 16, Axis::Across),
+            None,
+            "last column"
+        );
+        assert!(ColMajor::new(&p)
+            .progression(0, 0, 64, 1, Axis::Across)
+            .is_none());
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //! in O(1) ([`MatrixLayout::row_run`] along rows,
 //! [`MatrixLayout::row_stride`] down columns,
 //! [`MatrixLayout::group_block_addr`] and
-//! [`MatrixLayout::row_block_addr`] for whole blocks), so a walk costs
-//! one virtual [`MatrixLayout::addr`] call per *segment*, never one per
-//! element.
+//! [`MatrixLayout::row_block_addr`] for whole blocks), and how far a
+//! segment's block repeats at one constant step
+//! ([`MatrixLayout::progression`]), so a walk costs one virtual call
+//! pair per *progression* of segments, never one per segment inside it
+//! or per element.
 //!
 //! One stream type turns any walk into burst requests. It coalesces
 //! runs of contiguous addresses exactly as a memory-controller
@@ -23,7 +25,7 @@
 
 use mem3d::{Direction, RequestSource, TraceOp, TraceRun};
 
-use crate::MatrixLayout;
+use crate::{Axis, MatrixLayout};
 
 /// Maximum burst length in bytes (one full 8 KiB row); longer runs are
 /// chopped here and the memory system splits at row boundaries anyway.
@@ -40,6 +42,36 @@ struct Seg {
     base: u64,
     count: u64,
     stride: u64,
+}
+
+/// A **progression** of segments: `seg`, then the `repeats` segments
+/// after it in walk order, segment *j* being `seg` moved `j·step`
+/// bytes. One [`MatrixLayout::progression`] claim.
+#[derive(Debug, Clone, Copy)]
+struct Prog {
+    seg: Seg,
+    repeats: u64,
+    step: u64,
+}
+
+impl Prog {
+    /// This progression, with unit-stride segments that abut (each
+    /// starts where the one before ends) fused into the one segment
+    /// they form.
+    fn fused(self, elem: u64) -> Prog {
+        if self.repeats > 0 && self.seg.stride == elem && self.step == self.seg.count * elem {
+            Prog {
+                seg: Seg {
+                    count: self.seg.count * (self.repeats + 1),
+                    ..self.seg
+                },
+                repeats: 0,
+                step: 0,
+            }
+        } else {
+            self
+        }
+    }
 }
 
 /// The order a walk visits its cells in.
@@ -72,16 +104,24 @@ enum Within {
 ///   [`MatrixLayout::group_block_addr`] — the block families' grouped
 ///   column phase and write-back; along rows it is
 ///   [`MatrixLayout::row_block_addr`] — the tiled family's tile sweep
-///   and tile write-back.
+///   and tile write-back. A cell the layout does not claim drops the
+///   walk to the finer regimes below.
 /// * **column** (`DownColumns`, constant [`MatrixLayout::row_stride`])
 ///   — one segment per column of a cell; the column phase of a group of
-///   one uses whole-matrix-tall cells, so this is one segment per
-///   column (the baseline strided sweep).
+///   one is one whole-matrix cell, so this is one segment per column
+///   (the baseline strided sweep).
 /// * **row chunk** (`AlongRows`) — one unit-stride segment per aligned
 ///   [`MatrixLayout::row_run`] of a cell row: a whole matrix row for
 ///   row-major, a tile row for tiled.
 /// * **element** — nothing claimed (tile seams, misaligned groups,
 ///   `row_run` of 1): one segment per element.
+///
+/// The walk yields [`Prog`]s: each segment comes with the segments the
+/// walk visits next that the layout's [`MatrixLayout::progression`]
+/// proves are the same block moved by one constant step — the next
+/// cells of a cell line, columns of a cell, rows of a cell or chunks
+/// of a cell row. So a walk costs one virtual call pair per
+/// progression, and nothing per segment inside it.
 #[derive(Debug, Clone)]
 struct Walk<'a> {
     layout: &'a dyn MatrixLayout,
@@ -155,93 +195,166 @@ impl<'a> Walk<'a> {
             done: n == 0,
         }
     }
+
+    /// The step and number of the segments after the current one, of
+    /// the `left` the walk visits next, that repeat it: the layout's
+    /// progression of `(row, col, rows, cols)` along `axis`.
+    fn more(
+        &self,
+        (row, col, rows, cols): (usize, usize, usize, usize),
+        axis: Axis,
+        left: usize,
+    ) -> (u64, usize) {
+        if left == 0 {
+            return (0, 0);
+        }
+        self.layout
+            .progression(row, col, rows, cols, axis)
+            .map_or((0, 0), |(step, k)| (step, k.min(left)))
+    }
+
+    /// Moves on `k` cells in walk order (more than one only along one
+    /// cell line).
+    fn next_cells(&mut self, k: usize) {
+        self.a = 0;
+        match self.order {
+            CellOrder::ColumnsFirst => {
+                self.band += k * self.cell_rows;
+                if self.band >= self.n {
+                    self.band = 0;
+                    self.g += self.cell_cols;
+                    self.done = self.g >= self.n;
+                }
+            }
+            CellOrder::BandsFirst => {
+                self.g += k * self.cell_cols;
+                if self.g >= self.n {
+                    self.g = 0;
+                    self.band += self.cell_rows;
+                    self.done = self.band >= self.n;
+                }
+            }
+        }
+    }
+
+    /// The current whole cell and the cells after it in its line that
+    /// repeat it, or `None` (dropping the whole-cell regime) when the
+    /// layout does not claim the cell.
+    fn cells(&mut self, rows: usize, cols: usize) -> Option<Prog> {
+        let (band, g) = (self.band, self.g);
+        let base = match self.within {
+            Within::DownColumns => self.layout.group_block_addr(band, g, cols),
+            Within::AlongRows => self.layout.row_block_addr(band, g, rows, cols),
+        };
+        let Some(base) = base else {
+            self.block = false;
+            return None;
+        };
+        let (axis, left) = match self.order {
+            CellOrder::ColumnsFirst => (Axis::Down, (self.n - band) / self.cell_rows - 1),
+            CellOrder::BandsFirst => (Axis::Across, (self.n - g) / self.cell_cols - 1),
+        };
+        let (step, more) = self.more((band, g, rows, cols), axis, left);
+        self.next_cells(more + 1);
+        Some(Prog {
+            seg: Seg {
+                base,
+                count: (rows * cols) as u64,
+                stride: self.elem,
+            },
+            repeats: more as u64,
+            step,
+        })
+    }
 }
 
 impl Iterator for Walk<'_> {
-    type Item = Seg;
+    type Item = Prog;
 
-    fn next(&mut self) -> Option<Seg> {
+    fn next(&mut self) -> Option<Prog> {
         if self.done {
             return None;
         }
         let rows = self.cell_rows.min(self.n - self.band);
         let cols = self.cell_cols.min(self.n - self.g);
-        let (seg, cell_done) = if self.block {
-            // The element expansion (base, base+e, …) is exactly the
-            // cell's visit order: that is the `group_block_addr` /
-            // `row_block_addr` contract.
-            let base = match self.within {
-                Within::DownColumns => self.layout.group_block_addr(self.band, self.g, cols),
-                Within::AlongRows => self.layout.row_block_addr(self.band, self.g, rows, cols),
-            };
-            let seg = Seg {
-                base: base.expect("every aligned cell of an engaged block regime is contiguous"),
-                count: (rows * cols) as u64,
-                stride: self.elem,
-            };
-            (seg, true)
-        } else {
-            match self.within {
-                Within::DownColumns => {
-                    let base = self.layout.addr(self.band + self.b, self.g + self.a);
-                    let seg = match self.row_stride {
-                        Some(stride) => Seg {
-                            base,
-                            count: (rows - self.b) as u64,
-                            stride,
-                        },
-                        None => Seg {
-                            base,
-                            count: 1,
-                            stride: self.elem,
-                        },
-                    };
-                    self.b += seg.count as usize;
-                    if self.b >= rows {
-                        self.b = 0;
-                        self.a += 1;
-                    }
-                    (seg, self.a >= cols)
+        if self.block {
+            if let Some(cells) = self.cells(rows, cols) {
+                return Some(cells);
+            }
+        }
+        let (seg, (step, more)) = match (self.within, self.row_stride) {
+            (Within::DownColumns, Some(stride)) => {
+                // A whole column of the cell; the next columns to its
+                // right follow.
+                let c = self.g + self.a;
+                let seg = Seg {
+                    base: self.layout.addr(self.band, c),
+                    count: rows as u64,
+                    stride,
+                };
+                let more = self.more((self.band, c, rows, 1), Axis::Across, cols - self.a - 1);
+                self.a += more.1 + 1;
+                (seg, more)
+            }
+            (Within::DownColumns, None) => {
+                // One element; the next elements below it follow.
+                let (r, c) = (self.band + self.b, self.g + self.a);
+                let seg = Seg {
+                    base: self.layout.addr(r, c),
+                    count: 1,
+                    stride: self.elem,
+                };
+                let more = self.more((r, c, 1, 1), Axis::Down, rows - self.b - 1);
+                self.b += more.1 + 1;
+                if self.b >= rows {
+                    self.b = 0;
+                    self.a += 1;
                 }
-                Within::AlongRows => {
-                    let col = self.g + self.b;
-                    let count = (cols - self.b).min(self.row_run - col % self.row_run);
-                    let seg = Seg {
-                        base: self.layout.addr(self.band + self.a, col),
-                        count: count as u64,
-                        stride: self.elem,
+                (seg, more)
+            }
+            (Within::AlongRows, _) => {
+                let (r, col) = (self.band + self.a, self.g + self.b);
+                let count = (cols - self.b).min(self.row_run - col % self.row_run);
+                let seg = Seg {
+                    base: self.layout.addr(r, col),
+                    count: count as u64,
+                    stride: self.elem,
+                };
+                if count == cols {
+                    // A whole cell row; the rows below it follow.
+                    let more = self.more((r, col, 1, cols), Axis::Down, rows - self.a - 1);
+                    self.a += more.1 + 1;
+                    (seg, more)
+                } else {
+                    // An aligned chunk; the whole chunks to its right
+                    // follow.
+                    let left = if count == self.row_run {
+                        (cols - self.b) / count - 1
+                    } else {
+                        0
                     };
-                    self.b += count;
+                    let more = self.more((r, col, 1, count), Axis::Across, left);
+                    self.b += (more.1 + 1) * count;
                     if self.b >= cols {
                         self.b = 0;
                         self.a += 1;
                     }
-                    (seg, self.a >= rows)
+                    (seg, more)
                 }
             }
         };
-        if cell_done {
-            self.a = 0;
-            match self.order {
-                CellOrder::ColumnsFirst => {
-                    self.band += self.cell_rows;
-                    if self.band >= self.n {
-                        self.band = 0;
-                        self.g += self.cell_cols;
-                        self.done = self.g >= self.n;
-                    }
-                }
-                CellOrder::BandsFirst => {
-                    self.g += self.cell_cols;
-                    if self.g >= self.n {
-                        self.g = 0;
-                        self.band += self.cell_rows;
-                        self.done = self.band >= self.n;
-                    }
-                }
-            }
+        let outer = match self.within {
+            Within::DownColumns => cols,
+            Within::AlongRows => rows,
+        };
+        if self.a >= outer {
+            self.next_cells(1);
         }
-        Some(seg)
+        Some(Prog {
+            seg,
+            repeats: more as u64,
+            step,
+        })
     }
 }
 
@@ -251,34 +364,79 @@ impl Iterator for Walk<'_> {
 ///
 /// [`next`](Iterator::next) emits a burst only once it is complete:
 /// the upcoming access is peeked, never consumed, so no partial burst
-/// is carried between calls. [`next_run`](RequestSource::next_run)
-/// groups the same bursts into [`TraceRun`]s — a strided segment's
-/// single-element bursts in O(1), and a train of whole-row bursts at a
-/// constant forward step — for the memory system's fused span loops.
+/// is carried between calls. It divides nothing (the burst capacity in
+/// elements is a per-stream constant) and makes no virtual call inside
+/// a progression. [`next_run`](RequestSource::next_run) groups the same
+/// bursts into [`TraceRun`]s — a strided segment's single-element
+/// bursts in O(1), and a train of whole-row bursts at a constant
+/// forward step, cut from a contiguous segment or from a progression of
+/// one-burst segments in O(1) each — for the memory system's fused span
+/// loops.
 struct SegmentStream<'a> {
     walk: Walk<'a>,
-    e: u32,
+    /// Element size in bytes.
+    e: u64,
+    /// The most elements one burst holds.
+    cap: u64,
     dir: Direction,
     total: u64,
-    /// Current segment being expanded, with the next element's index.
-    cur: Option<Seg>,
+    /// The segment being expanded (one member of a progression), with
+    /// the members left after it, their step, and the next element's
+    /// index in `seg`.
+    seg: Seg,
+    left: u64,
+    step: u64,
     pos: u64,
-    /// The walk's segment after `cur`, pulled early to see whether a
-    /// strided segment's last element can coalesce with what follows.
-    after: Option<Seg>,
-    /// A complete burst [`next_run`](RequestSource::next_run) pulled
-    /// while probing a run's end, returned before anything else.
-    ahead: Option<TraceOp>,
+    /// The walk's progression after the current one, pulled early to
+    /// see whether a strided segment's last element can coalesce with
+    /// what follows.
+    after: Option<Prog>,
+    /// Complete bursts [`next_run`](RequestSource::next_run) cut while
+    /// probing a run's end, returned before anything else.
+    ahead: Option<TraceRun>,
+}
+
+/// Folds the leading bursts of `bursts` that continue `run`, whose last
+/// beat is at `last`, into it: full bursts at one constant forward
+/// step, which the run's second beat sets. Returns the bursts left
+/// over.
+fn join(run: &mut TraceRun, last: &mut u64, bursts: TraceRun) -> Option<TraceRun> {
+    let step = bursts.op.addr.checked_sub(*last).filter(|&d| d > 0);
+    let Some(step) = step.filter(|&d| {
+        bursts.op.bytes == MAX_BURST_BYTES
+            && run.beats < u32::MAX
+            && (run.beats == 1 || d == run.stride)
+    }) else {
+        return Some(bursts);
+    };
+    run.stride = step;
+    run.beats += 1;
+    *last = bursts.op.addr;
+    if bursts.beats == 1 || bursts.stride != step {
+        return bursts.after(1);
+    }
+    let take = (bursts.beats - 1).min(u32::MAX - run.beats);
+    run.beats += take;
+    *last += u64::from(take) * step;
+    bursts.after(take + 1)
 }
 
 impl<'a> SegmentStream<'a> {
     fn new(walk: Walk<'a>, dir: Direction) -> Self {
+        let e = walk.elem;
         SegmentStream {
-            e: walk.elem as u32,
+            e,
+            cap: u64::from(MAX_BURST_BYTES).checked_div(e).unwrap_or(0),
             total: matrix_bytes(walk.layout),
             walk,
             dir,
-            cur: None,
+            seg: Seg {
+                base: 0,
+                count: 0,
+                stride: e,
+            },
+            left: 0,
+            step: 0,
             pos: 0,
             after: None,
             ahead: None,
@@ -289,23 +447,106 @@ impl<'a> SegmentStream<'a> {
     /// upcoming segment (with `pos` pointing at its next element), or
     /// `None` when the walk is exhausted.
     fn peek_segment(&mut self) -> Option<Seg> {
-        loop {
-            match self.cur {
-                Some(s) if self.pos < s.count => return Some(s),
-                _ => {
-                    self.cur = Some(self.after.take().or_else(|| self.walk.next())?);
-                    self.pos = 0;
-                }
+        while self.pos >= self.seg.count {
+            if self.left > 0 {
+                self.left -= 1;
+                self.seg.base += self.step;
+            } else {
+                let p = self
+                    .after
+                    .take()
+                    .or_else(|| self.walk.next())?
+                    .fused(self.e);
+                (self.seg, self.left, self.step) = (p.seg, p.repeats, p.step);
             }
+            self.pos = 0;
         }
+        Some(self.seg)
     }
 
     /// The segment after the current one, without consuming it.
     fn following(&mut self) -> Option<Seg> {
+        if self.left > 0 {
+            return Some(Seg {
+                base: self.seg.base + self.step,
+                ..self.seg
+            });
+        }
         if self.after.is_none() {
             self.after = self.walk.next();
         }
-        self.after
+        self.after.map(|p| p.seg)
+    }
+
+    /// One burst by the element rule: the next access joins the burst
+    /// while it starts where the burst ends and fits under the cap.
+    /// Within a unit-stride segment every access is adjacent to the one
+    /// before, so the rule admits a whole chunk at once.
+    fn burst(&mut self) -> Option<TraceOp> {
+        let e = self.e;
+        let first = self.peek_segment()?;
+        let start = first.base + self.pos * first.stride;
+        // Elements taken so far.
+        let mut len = 0u64;
+        while let Some(s) = self.peek_segment() {
+            if len > 0 && s.base + self.pos * s.stride != start + len * e {
+                break;
+            }
+            // A burst always takes its first access.
+            let room = if len == 0 {
+                self.cap.max(1)
+            } else {
+                self.cap.saturating_sub(len)
+            };
+            if room == 0 {
+                break;
+            }
+            let avail = if s.stride == e { s.count - self.pos } else { 1 };
+            let k = avail.min(room);
+            self.pos += k;
+            len += k;
+        }
+        Some(TraceOp {
+            addr: start,
+            bytes: (len * e) as u32,
+            dir: self.dir,
+        })
+    }
+
+    /// The next bursts as a run of them: every whole burst the current
+    /// unit-stride segment holds from the cursor on, or, when each
+    /// member of its progression is exactly one burst, one burst per
+    /// member; else one burst by the element rule.
+    fn cut(&mut self) -> Option<TraceRun> {
+        if let Some(run) = self.ahead.take() {
+            return Some(run);
+        }
+        let s = self.peek_segment()?;
+        let rem = s.count - self.pos;
+        if s.stride != self.e || self.cap == 0 || rem < self.cap {
+            return self.burst().map(TraceRun::single);
+        }
+        let op = TraceOp {
+            addr: s.base + self.pos * self.e,
+            bytes: (self.cap * self.e) as u32,
+            dir: self.dir,
+        };
+        let (beats, stride) = if self.pos == 0 && rem == self.cap && self.left > 0 {
+            let beats = self.left.min(u32::MAX as u64 - 1) + 1;
+            self.left -= beats - 1;
+            self.seg.base += (beats - 1) * self.step;
+            self.pos = s.count;
+            (beats, self.step)
+        } else {
+            let beats = (rem / self.cap).min(u32::MAX as u64);
+            self.pos += beats * self.cap;
+            (beats, self.cap * self.e)
+        };
+        Some(TraceRun {
+            op,
+            beats: beats as u32,
+            stride,
+        })
     }
 }
 
@@ -313,39 +554,13 @@ impl Iterator for SegmentStream<'_> {
     type Item = TraceOp;
 
     fn next(&mut self) -> Option<TraceOp> {
-        if let Some(op) = self.ahead.take() {
-            return Some(op);
+        match self.ahead.take() {
+            Some(run) => {
+                self.ahead = run.after(1);
+                Some(run.op)
+            }
+            None => self.burst(),
         }
-        let e = self.e as u64;
-        let first = self.peek_segment()?;
-        let start = first.base + self.pos * first.stride;
-        let mut len = 0u64;
-        // The element rule: the next access joins the burst while it
-        // starts where the burst ends and fits under the cap. Within a
-        // unit-stride segment every access is adjacent to the one
-        // before, so the rule admits a whole chunk at once.
-        while let Some(s) = self.peek_segment() {
-            if len > 0 && s.base + self.pos * s.stride != start + len {
-                break;
-            }
-            let mut room = (MAX_BURST_BYTES as u64).saturating_sub(len) / e;
-            if len == 0 {
-                // A burst always takes its first access.
-                room = room.max(1);
-            }
-            if room == 0 {
-                break;
-            }
-            let avail = if s.stride == e { s.count - self.pos } else { 1 };
-            let k = avail.min(room);
-            self.pos += k;
-            len += k * e;
-        }
-        Some(TraceOp {
-            addr: start,
-            bytes: len as u32,
-            dir: self.dir,
-        })
     }
 }
 
@@ -357,7 +572,7 @@ impl RequestSource for SegmentStream<'_> {
     fn next_run(&mut self) -> Option<TraceRun> {
         if self.ahead.is_none() {
             let s = self.peek_segment()?;
-            let e = self.e as u64;
+            let e = self.e;
             let rem = s.count - self.pos;
             if rem >= 2 && s.stride != e {
                 // No two elements of a non-unit-stride segment coalesce,
@@ -376,7 +591,7 @@ impl RequestSource for SegmentStream<'_> {
                     return Some(TraceRun {
                         op: TraceOp {
                             addr,
-                            bytes: self.e,
+                            bytes: e as u32,
                             dir: self.dir,
                         },
                         beats,
@@ -385,40 +600,27 @@ impl RequestSource for SegmentStream<'_> {
                 }
             }
         }
-        let first = self.next()?;
-        if first.bytes != MAX_BURST_BYTES {
-            return Some(TraceRun::single(first));
-        }
-        // A full burst: fold the train of full bursts that follows at a
-        // constant forward step into one multi-beat run — the shape of
-        // the grouped block column phase and the tile sweep, and what
-        // the memory system's cross-bank span fuser consumes. The
-        // block layouts' diagonal wrap-around seams show up as a
-        // backwards step and end the run; the burst that ends it is
-        // kept for the next call.
-        let mut beats: u32 = 1;
-        let mut last = first.addr;
-        let mut delta = 0u64;
-        while beats < u32::MAX {
-            let Some(op) = self.next() else { break };
-            let step = op.addr.checked_sub(last).filter(|&d| d > 0);
-            match step {
-                Some(d) if op.bytes == MAX_BURST_BYTES && (beats == 1 || d == delta) => {
-                    delta = d;
-                    last = op.addr;
-                    beats += 1;
-                }
-                _ => {
-                    self.ahead = Some(op);
+        let bursts = self.cut()?;
+        let mut rest = bursts.after(1);
+        let mut run = TraceRun::single(bursts.op);
+        if bursts.op.bytes == MAX_BURST_BYTES {
+            // A full burst: fold the train of full bursts that follows
+            // at a constant forward step into one multi-beat run — the
+            // shape of the grouped block column phase and the tile
+            // sweep, and what the memory system's cross-bank span fuser
+            // consumes. The block layouts' diagonal wrap-around seams
+            // show up as a backwards or different step and end the run;
+            // the bursts that end it are kept for the next call.
+            let mut last = bursts.op.addr;
+            while let Some(next) = rest.take().or_else(|| self.cut()) {
+                rest = join(&mut run, &mut last, next);
+                if rest.is_some() {
                     break;
                 }
             }
         }
-        Some(TraceRun {
-            op: first,
-            beats,
-            stride: delta,
-        })
+        self.ahead = rest;
+        Some(run)
     }
 }
 
@@ -455,11 +657,12 @@ pub fn col_phase_stream(
         "group {group} must divide n {n}"
     );
     // Bands of one column with a constant row stride concatenate into a
-    // single arithmetic progression: one whole-column cell.
-    let rows = if group == 1 && layout.row_stride().is_some() {
-        n
+    // single arithmetic progression, and single columns are visited in
+    // matrix order: one whole-matrix cell, a segment per column.
+    let (rows, cols) = if group == 1 && layout.row_stride().is_some() {
+        (n, n)
     } else {
-        layout.column_run().min(n)
+        (layout.column_run().min(n), group)
     };
     SegmentStream::new(
         Walk::new(
@@ -467,7 +670,7 @@ pub fn col_phase_stream(
             Within::DownColumns,
             CellOrder::ColumnsFirst,
             rows,
-            group,
+            cols,
         ),
         dir,
     )

@@ -43,9 +43,28 @@ pub struct RunPacing {
 }
 
 impl RunPacing {
+    /// The law of an unpaced replay running flat out: every arrival is
+    /// pinned at zero, and nothing cuts a span short.
+    pub(crate) const FLAT_OUT: RunPacing = RunPacing {
+        t_kernel_fs: 0,
+        window_fs: u128::MAX,
+        op_fs: 0,
+        floor: Picos::ZERO,
+        probe_beat: None,
+        horizon: Picos::MAX,
+        lease: None,
+    };
+
     /// The arrival of a beat issued with the kernel clock at `t_fs`.
     pub(crate) fn arrival(&self, t_fs: u128) -> Picos {
         Picos::from_fs_clock(t_fs.saturating_sub(self.window_fs)).max(self.floor)
+    }
+
+    /// The arrival every beat gets whatever the kernel clock, when the
+    /// law pins it: a window no clock reaches past leaves only the
+    /// floor.
+    pub(crate) fn pinned(&self) -> Option<Picos> {
+        (self.window_fs == u128::MAX).then_some(self.floor)
     }
 
     /// Whether a beat of `bytes` bytes on `vault`, arriving at `at`

@@ -38,6 +38,22 @@ struct Boundary {
 }
 
 impl Boundary {
+    /// Whether a pinned arrival `at` is at or below every clock a
+    /// period starting here compares an arrival with: every recorded
+    /// activate and column time of a touched bank and every touched
+    /// vault's activate gate. The controller compares an arrival with
+    /// these times plus spacing constants, and with times the period
+    /// itself wrote, which are never before the arrival; a time not yet
+    /// set is read only by the access that sets it, which the shift
+    /// check then refuses.
+    fn clocks_reach(&self, at: Picos) -> bool {
+        let reach = |t: Option<Picos>| t.is_none_or(|t| t >= at);
+        self.banks
+            .iter()
+            .all(|b| reach(b.last_activate) && reach(b.last_column))
+            && self.vaults.iter().all(|v| reach(v.0.map(|g| g.0)))
+    }
+
     /// `Some(Δ)` when `next`, one period later, is this state shifted
     /// by Δ = the gap between the two periods' latest completions:
     /// every open row advanced by exactly `row_advance`, the kernel
@@ -72,15 +88,20 @@ impl Boundary {
     }
 }
 
-/// Whether a period served with the kernel clock going from `start_fs`
-/// to `end_fs` under `pacing` is shift-covariant: every beat's arrival
-/// was the raw reading `(t_kernel_fs − window_fs) / 1000` — the window
-/// subtraction did not saturate, the reading was not floored, and it
-/// fit a [`Picos`]. The clock only grows, so checking both ends covers
-/// every beat. Compares in femtoseconds: a reading is at least `floor`
-/// exactly when `t_kernel_fs − window_fs ≥ floor·1000`, and fits a
-/// `u64` exactly when `t_kernel_fs − window_fs < 2⁶⁴·1000`.
-fn covariant(pacing: &RunPacing, start_fs: u128, end_fs: u128) -> bool {
+/// Whether a period served from boundary `before`, with the kernel
+/// clock going from `start_fs` to `end_fs` under `pacing`, is
+/// shift-covariant. Either every beat's arrival was the raw reading
+/// `(t_kernel_fs − window_fs) / 1000` — the window subtraction did not
+/// saturate, the reading was not floored, and it fit a [`Picos`] — or
+/// the law pins every arrival ([`RunPacing::pinned`]) at or below every
+/// clock the period compares it with. The clock only grows, so checking
+/// both ends covers every beat. Compares in femtoseconds: a reading is
+/// at least `floor` exactly when `t_kernel_fs − window_fs ≥ floor·1000`,
+/// and fits a `u64` exactly when `t_kernel_fs − window_fs < 2⁶⁴·1000`.
+fn covariant(pacing: &RunPacing, start_fs: u128, end_fs: u128, before: &Boundary) -> bool {
+    if let Some(at) = pacing.pinned() {
+        return before.clocks_reach(at);
+    }
     let raw = |t: u128| t.checked_sub(pacing.window_fs);
     raw(start_fs).is_some_and(|r| r >= u128::from(pacing.floor.as_ps()) * FS_PER_PS)
         && raw(end_fs).is_some_and(|r| r < (1u128 << 64) * FS_PER_PS)
@@ -297,9 +318,12 @@ impl Jump {
         } else {
             None
         };
-        if let Some(delta) = shift.filter(|_| covariant(pacing, start_fs, acc.t_kernel_fs)) {
+        let periodic = |_: &u64| covariant(pacing, start_fs, acc.t_kernel_fs, &self.prev);
+        if let Some(delta) = shift.filter(periodic) {
             let k = self.cap(delta, left, last, pacing, acc);
-            self.apply(controllers, k, delta, last, acc);
+            // A pinned arrival stays put while completions move by Δ.
+            let drift = if pacing.pinned().is_some() { delta } else { 0 };
+            self.apply(controllers, k, delta, drift, last, acc);
         }
         std::mem::swap(&mut self.prev, &mut self.cur);
         self.marked = true;
@@ -355,7 +379,9 @@ impl Jump {
     /// Applies `k` more periods of `last`, each `delta` later than the
     /// one before: k·Δ on every moved time and the kernel clock,
     /// k·`row_advance` on every open row, k times the last period's
-    /// delta on each touched vault's statistics. Folds them into `acc`
+    /// delta on each touched vault's statistics, its latencies growing
+    /// by `drift` per period (Δ when arrivals are pinned, else zero;
+    /// see [`Stats::plus_repeats`]). Folds them into `acc`
     /// and, if periods are left, re-marks the current boundary; changes
     /// nothing when `k` is zero or the arithmetic would overflow. Every
     /// touched time is at most the period's latest completion, so one
@@ -365,6 +391,7 @@ impl Jump {
         controllers: &mut [VaultController],
         k: u32,
         delta: u64,
+        drift: u64,
         last: &RunServed,
         acc: &mut RunServed,
     ) -> Option<()> {
@@ -382,7 +409,7 @@ impl Jump {
             let stats = controllers
                 .get(v)?
                 .stats()
-                .plus_repeats(u64::from(k), before)?;
+                .plus_repeats(u64::from(k), before, drift)?;
             self.jumped.push(stats);
         }
         let by = Picos(by);
@@ -477,5 +504,41 @@ mod tests {
         assert_eq!(a.shift_to(&b, 0), None);
         assert_eq!(a.shift_to(&b, 2), None);
         assert_eq!(a.shift_to(&boundary(7, 1_100), 0), Some(100));
+    }
+
+    #[test]
+    fn a_pinned_arrival_must_not_pass_a_clock() {
+        // A law that pins every arrival at its floor is covariant from a
+        // boundary only while no activate, column or vault-gate time
+        // there is before the floor; the kernel clock plays no part.
+        let boundary = Boundary {
+            banks: vec![
+                BankState {
+                    open_row: Some(3),
+                    last_activate: Some(Picos(1_000)),
+                    last_column: Some(Picos(1_200)),
+                },
+                BankState::idle(),
+            ],
+            vaults: vec![(Some((Picos(900), 0, 0)), Picos(1_500))],
+            ..Boundary::default()
+        };
+        let pinned = |floor| RunPacing {
+            floor: Picos(floor),
+            ..RunPacing::FLAT_OUT
+        };
+        for floor in [0, 899, 900] {
+            assert!(covariant(&pinned(floor), 0, 0, &boundary), "{floor}");
+        }
+        for floor in [901, 1_100, 1_300] {
+            assert!(!covariant(&pinned(floor), 5, 1 << 90, &boundary), "{floor}");
+        }
+        // A windowed law reads the clock instead.
+        let windowed = RunPacing {
+            window_fs: 0,
+            ..pinned(0)
+        };
+        assert!(!covariant(&windowed, 0, u128::MAX, &boundary));
+        assert!(covariant(&windowed, 0, 10_000, &boundary));
     }
 }

@@ -106,13 +106,37 @@ impl Stats {
     }
 
     /// `self` with `k` more copies of the counters it gained since
-    /// `before` — what `k` more runs add that repeat the last one
-    /// exactly (the same hits, misses and latencies). The interval
-    /// fields (`latency_max`, `first_beat`, `last_beat`) stay: repeats
-    /// raise no new maximum latency and start no earlier beat, and the
-    /// caller moves `last_beat`. `None` when a counter would overflow.
-    pub(crate) fn plus_repeats(&self, k: u64, before: &Stats) -> Option<Stats> {
+    /// `before` — what `k` more runs add that repeat the last one (the
+    /// same hits and misses), each completing `drift` later than the
+    /// one before relative to its arrivals. With `drift` zero the
+    /// latencies repeat too. Otherwise repeat *j* adds the last run's
+    /// latency sum `L` plus `j·drift` per request, so the `k` repeats of
+    /// a run of `b` requests add `k·L + drift·b·k(k+1)/2`; the last
+    /// run's largest latency, then the maximum, grows by `k·drift` — so
+    /// the last run must have raised the maximum (`None` otherwise: its
+    /// own largest latency is unknown). `first_beat` stays (repeats
+    /// start no earlier beat) and the caller moves `last_beat`. `None`
+    /// when a counter would overflow.
+    pub(crate) fn plus_repeats(&self, k: u64, before: &Stats, drift: u64) -> Option<Stats> {
         let add = |now: u64, then: u64| now.checked_sub(then)?.checked_mul(k)?.checked_add(now);
+        let requests = self.requests.checked_sub(before.requests)?;
+        let (series, latency_max) = if drift == 0 {
+            (0, self.latency_max)
+        } else if self.latency_max > before.latency_max {
+            let wide = |x: u64| u128::from(x);
+            let series = (wide(k).checked_mul(wide(k) + 1)? / 2)
+                .checked_mul(wide(drift))?
+                .checked_mul(wide(requests))?;
+            let series = u64::try_from(series).ok()?;
+            let max = self
+                .latency_max
+                .as_ps()
+                .checked_add(k.checked_mul(drift)?)?;
+            (series, Picos(max))
+        } else {
+            return None;
+        };
+        let latency_sum = add(self.latency_sum.as_ps(), before.latency_sum.as_ps())?;
         Some(Stats {
             requests: add(self.requests, before.requests)?,
             bytes_read: add(self.bytes_read, before.bytes_read)?,
@@ -120,7 +144,8 @@ impl Stats {
             activations: add(self.activations, before.activations)?,
             row_hits: add(self.row_hits, before.row_hits)?,
             row_misses: add(self.row_misses, before.row_misses)?,
-            latency_sum: Picos(add(self.latency_sum.as_ps(), before.latency_sum.as_ps())?),
+            latency_sum: Picos(latency_sum.checked_add(series)?),
+            latency_max,
             ..*self
         })
     }

@@ -754,6 +754,13 @@ impl MemorySystem {
             c.reset();
         }
     }
+
+    /// Periods both jump engines saw served one by one (see
+    /// `Jump::periods`).
+    #[cfg(test)]
+    pub(crate) fn periods_stepped(&self) -> u64 {
+        self.beat_jump.periods + self.train_jump.periods
+    }
 }
 
 /// The error for a location whose vault the device does not have.

@@ -19,7 +19,10 @@
 //!   [`RequestSource`], and [`RequestSource::collect_trace`] goes the
 //!   other way, so the two forms are freely interchangeable.
 
-use crate::{AddressMapKind, Direction, MemorySystem, Picos, Result, Stats};
+use crate::{
+    AddressMapKind, Direction, MemorySystem, Picos, Result, RunPacing, ServicePath, SpanOutcome,
+    Stats,
+};
 
 /// One logical access of a request stream or an [`AccessTrace`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,6 +64,19 @@ impl TraceRun {
         }
     }
 
+    /// This run after its first `beats` beats, or `None` when no beat
+    /// is left.
+    pub fn after(self, beats: u32) -> Option<TraceRun> {
+        (beats < self.beats).then(|| TraceRun {
+            op: TraceOp {
+                addr: self.op.addr + u64::from(beats) * self.stride,
+                ..self.op
+            },
+            beats: self.beats - beats,
+            ..self
+        })
+    }
+
     /// This run moved `by` bytes: every beat keeps its length,
     /// direction and spacing. `None` if an address would overflow.
     pub fn moved(self, by: u64) -> Option<TraceRun> {
@@ -90,6 +106,36 @@ pub struct TraceTrain {
     /// Address distance between consecutive runs (0 when `repeats` is
     /// 0).
     pub step: u64,
+}
+
+impl TraceTrain {
+    /// Pulls the runs after `run` off `src` that repeat it moved by one
+    /// constant forward step — at most `u32::MAX` of them — into one
+    /// train. Returns the train and the first pulled run that does not
+    /// join it, if any, which the caller serves next.
+    pub fn gather<S: RequestSource + ?Sized>(
+        run: TraceRun,
+        src: &mut S,
+    ) -> (TraceTrain, Option<TraceRun>) {
+        let mut train = TraceTrain::from(run);
+        let mut last = run;
+        while train.repeats < u32::MAX {
+            let Some(next) = src.next_run() else { break };
+            let step = match train.repeats {
+                0 => next.op.addr.checked_sub(last.op.addr).filter(|&d| d > 0),
+                _ => Some(train.step),
+            };
+            match step.filter(|&d| last.moved(d) == Some(next)) {
+                Some(d) => {
+                    train.step = d;
+                    train.repeats += 1;
+                    last = next;
+                }
+                None => return (train, Some(next)),
+            }
+        }
+        (train, None)
+    }
 }
 
 impl From<TraceRun> for TraceTrain {
@@ -265,16 +311,28 @@ impl RequestSource for TraceStream<'_> {
     }
 }
 
-/// Replays a request stream against `mem` using address map `map_kind`,
-/// pulling one burst at a time — constant memory regardless of stream
-/// length. Every op goes through [`MemorySystem::service_burst`], so
-/// the replay runs on whichever [`ServicePath`](crate::ServicePath)
-/// `mem` has selected.
+/// Replays a request stream against `mem` using address map `map_kind`
+/// — constant memory regardless of stream length.
 ///
 /// With `pacing = None` every access is available at time zero and the
 /// device runs flat out (open-loop bandwidth measurement). With
 /// `pacing = Some(p)` access *i* arrives at `i * p`, modelling a
 /// consumer (the FFT kernel) that issues at a bounded rate.
+///
+/// A paced replay, and any replay on
+/// [`ServicePath::Reference`](crate::ServicePath::Reference), pulls one
+/// op at a time and serves it through [`MemorySystem::service_burst`]:
+/// the oracle. An unpaced replay on the
+/// [`Fast`](crate::ServicePath::Fast) path pulls whole runs
+/// ([`RequestSource::next_run`]), gathers each with the runs after it
+/// that repeat it at one constant forward step into a [`TraceTrain`],
+/// and serves it through [`MemorySystem::service_paced_span`] under a
+/// flat-out law that pins every arrival at zero, so the steady state of
+/// a long stretch or train is served in closed form (DESIGN.md, "The
+/// steady-state jump"). The stream's first op, and every beat the span
+/// classes step or decline, still go through `service_burst`. Both
+/// serve every op exactly alike: the results, statistics and device
+/// state are the same.
 ///
 /// Statistics accumulated in `mem` before the call are not cleared;
 /// call [`MemorySystem::reset_stats`] first for an isolated
@@ -296,40 +354,146 @@ pub fn replay_stream(
     pacing: Option<Picos>,
 ) -> Result<TraceStats> {
     let before = mem.stats();
-    let mut last_done = Picos::ZERO;
-    let mut first_start: Option<Picos> = None;
-    // Bytes issued per direction, for the conservation check below.
-    let (mut read, mut written) = (0u64, 0u64);
-    let served = src.enumerate().try_for_each(|(i, op)| {
-        let at = match pacing {
-            None => Picos::ZERO,
-            // Saturate: `service_burst` rejects the arrival.
-            Some(p) if p.as_ps().checked_mul(i as u64).is_none() => Picos::MAX,
-            Some(p) => p * i as u64,
-        };
-        let out = mem.service_burst(map_kind, op, at)?;
-        match op.dir {
-            Direction::Read => read += u64::from(op.bytes),
-            Direction::Write => written += u64::from(op.bytes),
+    let mut tally = Tally::default();
+    let served = match pacing {
+        None if mem.service_path() == ServicePath::Fast => {
+            replay_flat_out(src, mem, map_kind, &mut tally)
         }
-        first_start.get_or_insert(out.data_start);
-        last_done = last_done.max(out.done);
-        Ok(())
-    });
+        _ => src.enumerate().try_for_each(|(i, op)| {
+            let at = match pacing {
+                None => Picos::ZERO,
+                // Saturate: `service_burst` rejects the arrival.
+                Some(p) if p.as_ps().checked_mul(i as u64).is_none() => Picos::MAX,
+                Some(p) => p * i as u64,
+            };
+            tally.scalar(mem, map_kind, op, at)
+        }),
+    };
     let stats = mem.stats().delta(&before);
     // Bytes served = bytes issued: the device moved exactly what this
     // replay handed it, in each direction.
     debug_assert_eq!(
         (stats.bytes_read, stats.bytes_written),
-        (read, written),
+        (tally.read, tally.written),
         "replay: bytes served (read, written) differ from bytes issued"
     );
     served?;
     Ok(TraceStats {
         stats,
-        first_data: first_start.unwrap_or(Picos::ZERO),
-        makespan: last_done,
+        first_data: tally.first_data.unwrap_or(Picos::ZERO),
+        makespan: tally.last_done,
     })
+}
+
+/// What a replay has observed so far: the first op's first data, the
+/// latest completion, and the bytes issued per direction.
+#[derive(Debug, Default)]
+struct Tally {
+    first_data: Option<Picos>,
+    last_done: Picos,
+    read: u64,
+    written: u64,
+}
+
+impl Tally {
+    /// Counts `beats` served beats of `op` completing by `done`.
+    fn served(&mut self, op: TraceOp, beats: u32, done: Picos) {
+        let bytes = u64::from(op.bytes) * u64::from(beats);
+        match op.dir {
+            Direction::Read => self.read += bytes,
+            Direction::Write => self.written += bytes,
+        }
+        self.last_done = self.last_done.max(done);
+    }
+
+    /// Serves `op` arriving at `at` through `service_burst`.
+    fn scalar(
+        &mut self,
+        mem: &mut MemorySystem,
+        map_kind: AddressMapKind,
+        op: TraceOp,
+        at: Picos,
+    ) -> Result<()> {
+        let out = mem.service_burst(map_kind, op, at)?;
+        self.first_data.get_or_insert(out.data_start);
+        self.served(op, 1, out.done);
+        Ok(())
+    }
+}
+
+/// The unpaced replay on the fast path (see [`replay_stream`]): runs
+/// gathered into trains, each served through the span classes under
+/// [`RunPacing::FLAT_OUT`]. The first op goes through `service_burst`
+/// for its first data, and so does every beat the classes step or
+/// decline; a run they decline for good ([`SpanOutcome::Scalar`]) is
+/// served beat by beat without asking again.
+fn replay_flat_out(
+    src: &mut dyn RequestSource,
+    mem: &mut MemorySystem,
+    map_kind: AddressMapKind,
+    tally: &mut Tally,
+) -> Result<()> {
+    let mut ahead = None;
+    while let Some(run) = ahead.take().or_else(|| src.next_run()) {
+        if run.beats == 0 {
+            continue;
+        }
+        // A single beat never fuses, so it forms no train.
+        let mut train = TraceTrain::from(run);
+        if run.beats > 1 {
+            (train, ahead) = TraceTrain::gather(run, src);
+        }
+        // Beats of the train's first run already served.
+        let mut skip = 0;
+        // `skip` is always less than a run.
+        while let Some(run) = train.run.after(skip) {
+            // A run partly served goes alone.
+            let piece = if skip == 0 { train } else { run.into() };
+            let outcome = if tally.first_data.is_none() {
+                SpanOutcome::Step
+            } else {
+                mem.service_paced_span(map_kind, piece, &RunPacing::FLAT_OUT)
+            };
+            let beats = match outcome {
+                SpanOutcome::Served(s) if s.beats > 0 => {
+                    tally.served(run.op, s.beats, s.last_done);
+                    u64::from(s.beats)
+                }
+                SpanOutcome::Scalar => {
+                    for i in 0..u64::from(run.beats) {
+                        let op = TraceOp {
+                            addr: run.op.addr + i * run.stride,
+                            ..run.op
+                        };
+                        tally.scalar(mem, map_kind, op, Picos::ZERO)?;
+                    }
+                    u64::from(run.beats)
+                }
+                SpanOutcome::Served(_) | SpanOutcome::Step => {
+                    tally.scalar(mem, map_kind, run.op, Picos::ZERO)?;
+                    1
+                }
+            };
+            // Past the beats served: whole runs of the train, then part
+            // of the next.
+            let done = u64::from(skip) + beats;
+            let per_run = u64::from(train.run.beats);
+            let whole = done / per_run;
+            if whole > u64::from(train.repeats) {
+                break;
+            }
+            // `whole` is at most `repeats`, and the part less than a run.
+            let whole = whole as u32;
+            // The stream's own runs were these moves: none overflows.
+            let Some(next) = train.run.moved(u64::from(whole) * train.step) else {
+                break;
+            };
+            train.run = next;
+            train.repeats -= whole;
+            skip = (done % per_run) as u32;
+        }
+    }
+    Ok(())
 }
 
 /// An ordered sequence of memory accesses, materialized in memory.
@@ -559,6 +723,126 @@ mod tests {
         let r = replay_stream(&mut off_the_end(), &mut m, AddressMapKind::Chunked, None);
         assert!(matches!(r, Err(crate::Error::OutOfRange { .. })), "{r:?}");
         assert_eq!(m.stats().requests, 8, "the in-range ops stay served");
+        // Unpaced, the fast path serves these streams' runs as spans and
+        // jumps their steady states; every stream below must agree with
+        // the per-op oracle all the same.
+        for (n, cols) in [(2048, 3), (4096, 3), (8192, 2)] {
+            // Baseline columns: a column of an n × n row-major matrix on
+            // the chunked map spans n·n·8 / (1024 rows · 8 KiB) / n
+            // banks: 2 at n = 4096, 8 at n = 8192.
+            assert_paths_agree(&format!("{cols} columns at n = {n}"), &|| {
+                Box::new(Runs::columns(0, n, cols))
+            });
+        }
+        // Whole-row trains: contiguous rows, and rows a DDL block column
+        // apart (33 rows), several runs of each.
+        let rows = |stride: u64| {
+            Runs(
+                (0..4)
+                    .map(|j| TraceRun {
+                        op: TraceOp {
+                            addr: j * 3 * 8192,
+                            bytes: 8192,
+                            dir: Direction::Read,
+                        },
+                        beats: 256,
+                        stride,
+                    })
+                    .collect(),
+            )
+        };
+        for stride in [8192, 33 * 8192] {
+            assert_paths_agree(&format!("whole rows every {stride} B"), &|| {
+                Box::new(rows(stride))
+            });
+        }
+        // Columns that run off the device part-way, after a jump.
+        let n = 4096;
+        let base = cap - 700 * n * 8;
+        assert_paths_agree("columns off the end", &|| {
+            Box::new(Runs::columns(base, n, 2))
+        });
+        let mut m = mem();
+        let r = replay_stream(
+            &mut Runs::columns(base, n, 2),
+            &mut m,
+            AddressMapKind::Chunked,
+            None,
+        );
+        assert!(matches!(r, Err(crate::Error::OutOfRange { .. })), "{r:?}");
+        assert_eq!(m.stats().requests, 700, "the in-range ops stay served");
+    }
+
+    #[test]
+    fn unpaced_fast_replays_jump() {
+        // Three baseline columns at n = 4096 (12288 beats) take a few
+        // dozen periods one by one; the oracle takes every beat.
+        let mut m = mem();
+        let stats = replay_stream(
+            &mut Runs::columns(0, 4096, 3),
+            &mut m,
+            AddressMapKind::Chunked,
+            None,
+        )
+        .unwrap();
+        assert_eq!(stats.stats.requests, 3 * 4096);
+        let stepped = m.periods_stepped();
+        assert!(
+            (2..200).contains(&stepped),
+            "{stepped} periods stepped one by one"
+        );
+    }
+
+    /// A stream of whole runs, handed out whole by `next_run` and beat
+    /// by beat by `next`.
+    struct Runs(Vec<TraceRun>);
+
+    impl Runs {
+        /// `cols` columns of an `n × n` row-major matrix of 8-byte
+        /// elements at `base`, one run per column.
+        fn columns(base: u64, n: u64, cols: u64) -> Runs {
+            Runs(
+                (0..cols)
+                    .map(|c| TraceRun {
+                        op: TraceOp {
+                            addr: base + c * 8,
+                            bytes: 8,
+                            dir: Direction::Read,
+                        },
+                        beats: n as u32,
+                        stride: n * 8,
+                    })
+                    .collect(),
+            )
+        }
+    }
+
+    impl Iterator for Runs {
+        type Item = TraceOp;
+
+        fn next(&mut self) -> Option<TraceOp> {
+            let run = self.0.first_mut()?;
+            let op = run.op;
+            run.beats -= 1;
+            run.op.addr += run.stride;
+            if run.beats == 0 {
+                self.0.remove(0);
+            }
+            Some(op)
+        }
+    }
+
+    impl RequestSource for Runs {
+        fn total_bytes(&self) -> u64 {
+            self.0
+                .iter()
+                .map(|r| u64::from(r.op.bytes) * u64::from(r.beats))
+                .sum()
+        }
+
+        fn next_run(&mut self) -> Option<TraceRun> {
+            (!self.0.is_empty()).then(|| self.0.remove(0))
+        }
     }
 
     #[test]

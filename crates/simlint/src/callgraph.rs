@@ -18,7 +18,7 @@
 //! cannot link against are discarded before tiering. Cycles are fine
 //! — reachability is a BFS with a visited set.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::parse::FnItem;
 use sim_util::json::JsonObject;
@@ -45,12 +45,21 @@ pub struct Reach {
     pub origin: Vec<Option<usize>>,
 }
 
+/// The request-stream trait. Every phase pulls its beats through the
+/// `Iterator::next` of a stream implementing it, so `next` — otherwise
+/// ubiquitous — resolves in a function that holds a stream: one whose
+/// signature names the trait, or a method of the trait or of a type
+/// implementing it. There a `.next()` resolves to the workspace's
+/// `Iterator::next` impls, tiered like any method call.
+pub(crate) const SOURCE_TRAIT: &str = "RequestSource";
+
 /// Method names that collide with std prelude / primitive methods.
 /// Name-based resolution would wire every `.max()` on a float to
 /// `Picos::max`, dragging unrelated callers into clock-construction
 /// reachability — calls to these names produce no edge. Workspace
 /// types reached through such a method must be covered by a direct
-/// call elsewhere (they all are: the combinators are thin wrappers).
+/// call elsewhere (they all are: the combinators are thin wrappers),
+/// except a stream's `next`, which [`SOURCE_TRAIT`] resolves.
 const UBIQUITOUS_METHODS: &[&str] = &[
     "abs", "clamp", "clone", "cmp", "collect", "default", "eq", "from", "into", "is_empty", "len",
     "max", "min", "ne", "next", "product", "sum",
@@ -97,24 +106,36 @@ impl CallGraph {
                 None => true,
             }
         };
+        // Types implementing the stream trait, and the trait itself.
+        let sources: BTreeSet<&str> = fns
+            .iter()
+            .filter(|f| f.impl_trait.as_deref() == Some(SOURCE_TRAIT))
+            .filter_map(|f| f.impl_type.as_deref())
+            .chain([SOURCE_TRAIT])
+            .collect();
         let mut callees: Vec<Vec<usize>> = Vec::with_capacity(fns.len());
         for f in &fns {
             let caller_crate = crate_of(&f.file);
+            let holds_source =
+                f.source_sig || f.impl_type.as_deref().is_some_and(|t| sources.contains(t));
             let mut out: Vec<usize> = Vec::new();
             for call in &f.calls {
                 let Some(all_cands) = by_name.get(call.name.as_str()) else {
                     continue;
                 };
+                // A stream's `next` is dispatched through the trait, so a
+                // generic caller runs impls from crates downstream of it.
+                let pulls = call.method && holds_source && call.name == "next";
                 let cands: Vec<usize> = all_cands
                     .iter()
                     .copied()
-                    .filter(|&c| linkable(caller_crate, c))
+                    .filter(|&c| pulls || linkable(caller_crate, c))
                     .collect();
                 if cands.is_empty() {
                     continue;
                 }
                 if call.method {
-                    if UBIQUITOUS_METHODS.contains(&call.name.as_str()) {
+                    if UBIQUITOUS_METHODS.contains(&call.name.as_str()) && !pulls {
                         continue;
                     }
                     // Prefer impl/trait methods, tiered like bare
@@ -125,8 +146,14 @@ impl CallGraph {
                     let methods: Vec<usize> = cands
                         .iter()
                         .copied()
-                        .filter(|&c| fns[c].impl_type.is_some())
+                        .filter(|&c| {
+                            fns[c].impl_type.is_some()
+                                && (!pulls || fns[c].impl_trait.as_deref() == Some("Iterator"))
+                        })
                         .collect();
+                    if pulls && methods.is_empty() {
+                        continue;
+                    }
                     let same_file: Vec<usize> = methods
                         .iter()
                         .copied()

@@ -23,6 +23,9 @@ pub struct TokenContext {
     /// Self-type of the innermost enclosing `impl` block (or trait
     /// name inside a `trait` definition), if any.
     pub impl_type: Option<String>,
+    /// The trait the innermost enclosing `impl` block implements
+    /// (`impl Trait for Type`), if it implements one.
+    pub impl_trait: Option<String>,
     /// `true` inside `#[cfg(test)]` / `#[test]` items (or when the
     /// whole file is test code, e.g. under `tests/`).
     pub in_test: bool,
@@ -32,7 +35,9 @@ pub struct TokenContext {
 enum ScopeKind {
     Module(String),
     Fn(String),
-    Impl(String),
+    /// An `impl` block's self type and the trait it implements, or a
+    /// `trait` definition's name (and no trait).
+    Impl(String, Option<String>),
     Other,
 }
 
@@ -43,14 +48,16 @@ struct Scope {
 }
 
 /// Resolves the self-type name of an `impl` header starting at token
-/// `start` (the token after `impl`): skips the generic parameter list,
-/// walks path segments, and — when `for` appears before the opening
-/// brace — restarts on the right-hand side, so `impl<T> Add for
-/// Picos` yields `Picos`. Returns `None` for headers it cannot read
-/// (e.g. `impl Trait for &mut [u8]`).
-fn impl_self_type(tokens: &[Token], start: usize) -> Option<String> {
+/// `start` (the token after `impl`), with the trait it implements:
+/// skips the generic parameter list, walks path segments, and — when
+/// `for` appears before the opening brace — restarts on the right-hand
+/// side, so `impl<T> Add for Picos` yields `Picos` implementing `Add`.
+/// Returns `None` for headers it cannot read (e.g. `impl Trait for
+/// &mut [u8]`).
+fn impl_self_type(tokens: &[Token], start: usize) -> Option<(String, Option<String>)> {
     let mut i = start;
     let mut last_seg: Option<String> = None;
+    let mut implemented: Option<String> = None;
     let mut angle_depth = 0usize;
     while let Some(t) = tokens.get(i) {
         match (&t.kind, t.text.as_str()) {
@@ -66,13 +73,13 @@ fn impl_self_type(tokens: &[Token], start: usize) -> Option<String> {
             (_, _) if angle_depth > 0 => {}
             (TokenKind::Punct, "{" | ";") => break,
             (TokenKind::Ident, "where") => break,
-            (TokenKind::Ident, "for") => last_seg = None,
+            (TokenKind::Ident, "for") => implemented = last_seg.take(),
             (TokenKind::Ident, name) => last_seg = Some(name.to_string()),
             _ => {}
         }
         i += 1;
     }
-    last_seg
+    Some((last_seg?, implemented))
 }
 
 /// Computes one [`TokenContext`] per token, in token order.
@@ -114,9 +121,17 @@ pub fn contexts(tokens: &[Token], file_is_test: bool) -> Vec<TokenContext> {
                 })
             }),
             impl_type: scopes.iter().rev().find_map(|s| match &s.kind {
-                ScopeKind::Impl(name) => Some(name.clone()),
+                ScopeKind::Impl(name, _) => Some(name.clone()),
                 _ => None,
             }),
+            impl_trait: scopes
+                .iter()
+                .rev()
+                .find_map(|s| match &s.kind {
+                    ScopeKind::Impl(_, implemented) => Some(implemented.clone()),
+                    _ => None,
+                })
+                .flatten(),
             in_test,
         });
 
@@ -140,6 +155,7 @@ pub fn contexts(tokens: &[Token], file_is_test: bool) -> Vec<TokenContext> {
                             .unwrap_or_default(),
                         enclosing_fn: out.last().and_then(|c| c.enclosing_fn.clone()),
                         impl_type: out.last().and_then(|c| c.impl_type.clone()),
+                        impl_trait: out.last().and_then(|c| c.impl_trait.clone()),
                         in_test,
                     });
                     match (&a.kind, a.text.as_str()) {
@@ -182,14 +198,14 @@ pub fn contexts(tokens: &[Token], file_is_test: bool) -> Vec<TokenContext> {
             // pending fn signature is a type, not a block: the brace
             // still opens the fn body.
             (TokenKind::Ident, "impl") if !matches!(pending, Some(ScopeKind::Fn(_))) => {
-                if let Some(name) = impl_self_type(tokens, i + 1) {
-                    pending = Some(ScopeKind::Impl(name));
+                if let Some((name, implemented)) = impl_self_type(tokens, i + 1) {
+                    pending = Some(ScopeKind::Impl(name, implemented));
                 }
             }
             (TokenKind::Ident, "trait") => {
                 if let Some(n) = tokens.get(i + 1) {
                     if n.kind == TokenKind::Ident {
-                        pending = Some(ScopeKind::Impl(n.text.clone()));
+                        pending = Some(ScopeKind::Impl(n.text.clone(), None));
                     }
                 }
             }
@@ -294,6 +310,17 @@ mod tests {
         let c = ctx_of(src, "marker");
         assert_eq!(c.enclosing_fn.as_deref(), Some("step"));
         assert_eq!(c.impl_type.as_deref(), Some("Phase"));
+        assert_eq!(c.impl_trait, None);
+    }
+
+    #[test]
+    fn trait_impls_record_the_trait() {
+        let src = "impl<'a> Iterator for Walk<'a> { fn next(&mut self) { let marker = 1; } }";
+        let c = ctx_of(src, "marker");
+        assert_eq!(c.impl_type.as_deref(), Some("Walk"));
+        assert_eq!(c.impl_trait.as_deref(), Some("Iterator"));
+        let src = "trait Source { fn next_run(&mut self) { let marker = 1; } }";
+        assert_eq!(ctx_of(src, "marker").impl_trait, None);
     }
 
     #[test]

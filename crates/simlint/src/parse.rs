@@ -76,6 +76,8 @@ pub struct FnItem {
     pub name: String,
     /// Self type of the enclosing `impl`/`trait` block, if any.
     pub impl_type: Option<String>,
+    /// The trait the enclosing `impl` block implements, if any.
+    pub impl_trait: Option<String>,
     /// Fully qualified name: file module path + in-file modules +
     /// impl type + name (e.g. `mem3d::system::MemorySystem::service`).
     pub qual: String,
@@ -91,6 +93,10 @@ pub struct FnItem {
     /// `true` when the signature mentions `f32`/`f64` (parameter or
     /// return position) — the T101 taint source marker.
     pub f64_sig: bool,
+    /// `true` when the signature names the request-stream trait
+    /// (`RequestSource`), so the function holds a stream whose
+    /// `.next()` it may pull.
+    pub source_sig: bool,
     /// Entry scopes declared for this function via
     /// `// simlint::entry(SCOPE)`.
     pub entries: Vec<String>,
@@ -272,11 +278,12 @@ pub fn parse_file(
         let name = name.to_string();
         // Signature runs to the body `{` or a bodyless `;`.
         let mut j = i + 2;
-        let mut f64_sig = false;
+        let (mut f64_sig, mut source_sig) = (false, false);
         let mut body_open = None;
         while j < tokens.len() {
             match v.ident(j) {
                 Some("f64") | Some("f32") => f64_sig = true,
+                Some(crate::callgraph::SOURCE_TRAIT) => source_sig = true,
                 _ => {}
             }
             if v.is_punct(j, "{") {
@@ -292,6 +299,7 @@ pub fn parse_file(
         let mut item = FnItem {
             name: name.clone(),
             impl_type: ctx.impl_type.clone(),
+            impl_trait: ctx.impl_trait.clone(),
             qual: {
                 let mut parts: Vec<String> = Vec::new();
                 if !module.is_empty() {
@@ -309,6 +317,7 @@ pub fn parse_file(
             col: tokens[i].col,
             in_test: ctx.in_test,
             f64_sig,
+            source_sig,
             entries: Vec::new(),
             facts: Vec::new(),
             calls: Vec::new(),

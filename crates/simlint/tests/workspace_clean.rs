@@ -83,6 +83,23 @@ fn callgraph_covers_the_core_service_spine() {
         r.visited[service],
         "MemorySystem::service_burst_fast not reachable from service_path entries"
     );
+
+    // Every phase pulls its beats through a request stream's `next`,
+    // so the stream bodies are inside the resumable phase's H101 sweep
+    // (and the service entries' P101 sweep).
+    let phase = g.reach(&[idx("core::phases::ResumablePhase::step_until")]);
+    for stream in [
+        "layout::trace::Walk::next",
+        "layout::trace::SegmentStream::next",
+        "mem3d::trace::StridedSource::next",
+        "mem3d::trace::TraceStream::next",
+        "tenancy::offset::OffsetSource::next",
+    ] {
+        assert!(
+            phase.visited[idx(stream)] && r.visited[idx(stream)],
+            "{stream} not reachable from the phase stepper"
+        );
+    }
 }
 
 #[test]

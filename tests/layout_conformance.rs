@@ -22,8 +22,12 @@
 //! 5. **Reference walk** — the layout layer's one scalar oracle: every
 //!    stream's ops equal a per-element walk written here as plain
 //!    [`MatrixLayout::addr`] loops, coalesced by the controller's
-//!    element merge rule. The library generates streams a segment at a
-//!    time; this walk never does.
+//!    element merge rule. The library generates streams a progression
+//!    at a time; this walk never does.
+//! 6. **Run boundaries** — where `next_run` cuts a stream into runs is
+//!    pinned by digest: the expansion checks above cannot see a run
+//!    split in two or two runs fused, but the memory system's span
+//!    classes and trains can.
 
 use fft2d::{run_phase, DriverConfig, PhaseReport};
 use layout::{
@@ -34,6 +38,7 @@ use layout::{
 use mem3d::{
     Direction, Geometry, MemorySystem, Picos, RequestSource, TimingParams, TraceOp, TraceRun,
 };
+use sim_util::hash::StableHasher;
 
 fn params(n: usize) -> LayoutParams {
     LayoutParams::for_device(n, &Geometry::default(), &TimingParams::default())
@@ -536,5 +541,72 @@ fn paper_scale_streams_match_the_per_element_reference_walk() {
     for id in FamilyId::ALL {
         let fam = id.build(&p, id.default_param(&p)).expect("default builds");
         check_family(fam.as_ref(), &p, &[], false);
+    }
+}
+
+/// Folds every run `src.next_run()` hands out, as
+/// `(addr, bytes, dir, beats, stride)`, into `h`; returns how many.
+fn hash_runs(src: &mut dyn RequestSource, h: &mut StableHasher) -> u64 {
+    let mut runs = 0;
+    while let Some(TraceRun { op, beats, stride }) = src.next_run() {
+        h.write_u64(op.addr);
+        h.write_u64(u64::from(op.bytes));
+        h.write_u8(u8::from(op.dir == Direction::Write));
+        h.write_u64(u64::from(beats));
+        h.write_u64(stride);
+        runs += 1;
+    }
+    runs
+}
+
+/// The run count and digest of the run sequences at `n`, both element
+/// sizes: every registry family's row, column and write-back streams
+/// (`every`), or the column and write-back streams `run_app` drives
+/// (each family at its representative parameter), then both input
+/// streams.
+fn run_digest(n: usize, every: bool) -> (u64, u64) {
+    let mut h = StableHasher::new();
+    let mut runs = 0;
+    for p in params_both(n) {
+        let specs: Vec<_> = if every {
+            enumerate_candidates(&p)
+        } else {
+            FamilyId::ALL
+                .iter()
+                .map(|&id| layout::FamilySpec {
+                    id,
+                    param: id.default_param(&p),
+                })
+                .collect()
+        };
+        for spec in specs {
+            let fam = spec.build(&p).expect("registry candidates build");
+            if every {
+                for dir in [Direction::Read, Direction::Write] {
+                    runs += hash_runs(&mut *fam.row_stream(dir), &mut h);
+                    runs += hash_runs(&mut *fam.col_stream(dir), &mut h);
+                }
+            } else {
+                runs += hash_runs(&mut *fam.col_stream(Direction::Read), &mut h);
+            }
+            runs += hash_runs(&mut *fam.write_stream(), &mut h);
+        }
+        for input in [RowMajor::new(&p), RowMajor::interleaved(&p)] {
+            runs += hash_runs(&mut row_phase_stream(&input, Direction::Read), &mut h);
+        }
+    }
+    (runs, h.finish())
+}
+
+#[test]
+fn next_run_boundaries_match_the_burst_at_a_time_fold() {
+    // Digests taken from the stream that folded its runs one burst at
+    // a time, before streams were generated a progression at a time.
+    for (n, every, want) in [
+        (64, true, (320_716, 0xbea6_4590_ea40_fe27)),
+        (256, true, (6_786_919, 0x1b6c_3f25_f15c_e796)),
+        (2048, false, (8_417_785, 0xf0c2_eaee_6c54_ec97)),
+    ] {
+        assert_eq!(run_digest(n, every), want, "n = {n}");
     }
 }
