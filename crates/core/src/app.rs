@@ -320,7 +320,7 @@ impl System {
             RowMajor::new(&params)
         };
         let write_delay = if reorg_h > 0 {
-            let reorg = ReorgCost::evaluate(&params, reorg_h, self.cfg.lanes, proc.clock());
+            let reorg = ReorgCost::evaluate(&params, reorg_h, self.cfg.lanes, proc.clock())?;
             proc.kernel_latency() + reorg.fill_latency
         } else {
             proc.kernel_latency()

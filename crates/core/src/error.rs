@@ -67,6 +67,12 @@ impl From<fft_kernel::KernelError> for Fft2dError {
     }
 }
 
+impl From<layout::LayoutError> for Fft2dError {
+    fn from(e: layout::LayoutError) -> Self {
+        Fft2dError::Layout(e)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -79,7 +85,7 @@ mod tests {
         assert!(m.to_string().contains("memory system"));
         let k: Fft2dError = fft_kernel::KernelError::NotPowerOfTwo { n: 3 }.into();
         assert!(k.source().is_some());
-        let l = Fft2dError::Layout(layout::LayoutError::Zero { what: "h" });
+        let l: Fft2dError = layout::LayoutError::Zero { what: "h" }.into();
         assert!(l.source().is_some());
         assert!(l.to_string().contains("h must be non-zero"));
         let d = Fft2dError::Driver("NaN rate".into());

@@ -45,7 +45,7 @@ impl ProcessorModel {
             // Band buffer for the phase-1 reshaping (evaluated at the
             // nominal clock; the clock only affects the latency part of
             // the reorganization cost, not its size) ...
-            let band = ReorgCost::evaluate(params, reorg_h, lanes, Picos(2_000)).buffer_bytes;
+            let band = ReorgCost::evaluate(params, reorg_h, lanes, Picos(2_000))?.buffer_bytes;
             // ... plus the phase-2 staging buffer: the column phase
             // interleaves `w = s/h` column FFTs, holding their working
             // set (double-buffered) on chip.

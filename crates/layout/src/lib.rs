@@ -70,6 +70,6 @@ pub use matrix::{Axis, BlockDynamic, ColMajor, MatrixLayout, RowMajor, Tiled};
 pub use params::LayoutParams;
 pub use reorg::ReorgCost;
 pub use trace::{
-    band_block_write_stream, block_write_stream, col_bursts_per_column, col_phase_stream,
-    row_phase_stream, tile_band_write_stream, tile_sweep_stream, MAX_BURST_BYTES,
+    band_block_write_stream, block_write_stream, col_phase_stream, row_phase_stream,
+    tile_band_write_stream, tile_sweep_stream, MAX_BURST_BYTES,
 };

@@ -711,8 +711,8 @@ pub fn band_block_write_stream(layout: &crate::BlockDynamic) -> impl RequestSour
 
 /// The column phase of the tiled (Akin et al.) architecture as a lazy
 /// stream: whole tiles are fetched — one contiguous burst each — in
-/// tile-*column*-major order, and an on-chip transposer
-/// (`permute::TileTransposer`) peels the column segments out locally.
+/// tile-*column*-major order, and an on-chip tile buffer peels the column
+/// segments out locally (that buffer is not simulated).
 pub fn tile_sweep_stream(layout: &crate::Tiled, dir: Direction) -> impl RequestSource + '_ {
     SegmentStream::new(
         Walk::new(
@@ -740,14 +740,6 @@ pub fn tile_band_write_stream(layout: &crate::Tiled) -> impl RequestSource + '_ 
         ),
         Direction::Write,
     )
-}
-
-/// Convenience: the number of burst requests the column phase generates
-/// per column, a direct proxy for row-activation pressure. Counts the
-/// stream without materializing it.
-pub fn col_bursts_per_column(layout: &dyn MatrixLayout, group: usize) -> f64 {
-    let bursts = col_phase_stream(layout, Direction::Read, group).count();
-    bursts as f64 / layout.n() as f64
 }
 
 #[cfg(test)]
@@ -804,7 +796,7 @@ mod tests {
         // occasionally merges a group boundary, so allow a small slack.
         let expect = n * (n / 64);
         assert!(t.len() <= expect && t.len() >= expect - n);
-        let per_col = col_bursts_per_column(&l, 1);
+        let per_col = t.len() as f64 / n as f64;
         assert!((per_col - 8.0).abs() < 0.5, "got {per_col} bursts/column");
     }
 

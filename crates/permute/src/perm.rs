@@ -125,23 +125,9 @@ impl Permutation {
         self.map[i]
     }
 
-    /// The underlying destination map.
-    pub fn as_map(&self) -> &[usize] {
-        &self.map
-    }
-
     /// `true` if this is the identity.
     pub fn is_identity(&self) -> bool {
         self.map.iter().enumerate().all(|(i, &d)| i == d)
-    }
-
-    /// The inverse permutation.
-    pub fn inverse(&self) -> Permutation {
-        let mut inv = vec![0; self.map.len()];
-        for (i, &d) in self.map.iter().enumerate() {
-            inv[d] = i;
-        }
-        Permutation { map: inv }
     }
 
     /// Composition `other ∘ self`: first apply `self`, then `other`.
@@ -198,38 +184,6 @@ impl Permutation {
                 j = self.map[j];
             }
         }
-    }
-
-    /// Number of fixed points.
-    pub fn fixed_points(&self) -> usize {
-        self.map
-            .iter()
-            .enumerate()
-            .filter(|(i, &d)| *i == d)
-            .count()
-    }
-
-    /// Decomposes the permutation into its cycles (excluding fixed
-    /// points), useful for estimating routing cost.
-    pub fn cycles(&self) -> Vec<Vec<usize>> {
-        let mut visited = vec![false; self.len()];
-        let mut cycles = Vec::new();
-        for start in 0..self.len() {
-            if visited[start] || self.map[start] == start {
-                visited[start] = true;
-                continue;
-            }
-            let mut cycle = vec![start];
-            visited[start] = true;
-            let mut i = self.map[start];
-            while i != start {
-                visited[i] = true;
-                cycle.push(i);
-                i = self.map[i];
-            }
-            cycles.push(cycle);
-        }
-        cycles
     }
 }
 
@@ -298,8 +252,6 @@ mod tests {
     fn identity_properties() {
         let id = Permutation::identity(8);
         assert!(id.is_identity());
-        assert_eq!(id.fixed_points(), 8);
-        assert!(id.cycles().is_empty());
         assert_eq!(
             id.apply(&[1, 2, 3, 4, 5, 6, 7, 8]),
             vec![1, 2, 3, 4, 5, 6, 7, 8]
@@ -358,16 +310,6 @@ mod tests {
     }
 
     #[test]
-    fn cycles_cover_non_fixed_points() {
-        let p = Permutation::from_map(vec![1, 0, 2, 4, 3]).unwrap();
-        let cycles = p.cycles();
-        assert_eq!(cycles.len(), 2);
-        assert_eq!(p.fixed_points(), 1);
-        let covered: usize = cycles.iter().map(Vec::len).sum();
-        assert_eq!(covered + p.fixed_points(), p.len());
-    }
-
-    #[test]
     fn display_lists_destinations() {
         let p = Permutation::from_map(vec![2, 0, 1]).unwrap();
         assert_eq!(p.to_string(), "perm[3](2 0 1)");
@@ -382,15 +324,6 @@ mod tests {
     fn arb_perm(rng: &mut SimRng, max: usize) -> Permutation {
         let n = rng.gen_range(1usize..=max);
         Permutation::from_map(rng.permutation_map(n)).expect("shuffled identity is a bijection")
-    }
-
-    #[test]
-    fn inverse_composes_to_identity() {
-        prop_check!(|rng| {
-            let p = arb_perm(rng, 64);
-            prop_assert!(p.then(&p.inverse()).is_identity(), "p = {p}");
-            prop_assert!(p.inverse().then(&p).is_identity(), "p = {p}");
-        });
     }
 
     #[test]
@@ -435,7 +368,7 @@ mod tests {
             let s = 1usize << (j % (k + 1));
             let l = Permutation::stride(n, s).unwrap();
             let co = Permutation::stride(n, n / s).unwrap();
-            prop_assert_eq!(l.inverse(), co, "n = {}, s = {}", n, s);
+            prop_assert!(l.then(&co).is_identity(), "n = {}, s = {}", n, s);
         });
     }
 }

@@ -215,7 +215,7 @@ impl Entry {
         let reorg_h = family.reorg_rows();
         let proc = ProcessorModel::new(&params, platform.lanes, reorg_h, &platform.budget)?;
         let write_delay1 = if reorg_h > 0 {
-            let reorg = ReorgCost::evaluate(&params, reorg_h, platform.lanes, proc.clock());
+            let reorg = ReorgCost::evaluate(&params, reorg_h, platform.lanes, proc.clock())?;
             proc.kernel_latency() + reorg.fill_latency
         } else {
             proc.kernel_latency()

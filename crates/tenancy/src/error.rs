@@ -98,6 +98,12 @@ impl From<mem3d::Error> for TenancyError {
     }
 }
 
+impl From<layout::LayoutError> for TenancyError {
+    fn from(e: layout::LayoutError) -> Self {
+        TenancyError::Driver(Fft2dError::Layout(e))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

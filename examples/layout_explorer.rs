@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut sorted = results.clone();
     sorted.sort_by_key(|m| m.h);
     for m in &sorted {
-        let cost = ReorgCost::evaluate(&params, m.h, 8, Picos::from_ns(2));
+        let cost = ReorgCost::evaluate(&params, m.h, 8, Picos::from_ns(2))?;
         println!(
             "{:>6} {:>6} {:>14.2} {:>14} {:>13} KiB {:>14}",
             m.h,

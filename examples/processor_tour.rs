@@ -1,7 +1,6 @@
 //! A tour of the instantiated architecture (the paper's Figs. 1–3):
 //! memory stack geometry and timing, the streaming kernel's component
-//! inventory, the permutation network's conflict-free schedules, and the
-//! FPGA cost of the whole processor.
+//! inventory, and the FPGA cost of the whole processor.
 //!
 //! Run with: `cargo run --release --example processor_tour`
 
@@ -9,7 +8,6 @@ use fft2d::ProcessorModel;
 use fpga_model::resources::devices::VIRTEX7_690T;
 use layout::LayoutParams;
 use mem3d::{Geometry, TimingParams};
-use permute::{BankSkew, ControlUnit, Permutation};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Fig. 1: the 3D memory stack.
@@ -53,19 +51,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         k.rom_bytes >> 10,
         (k.buffer_words * 8) >> 10,
         proc.kernel_latency()
-    );
-    println!();
-
-    // The permutation network's controlling unit in action.
-    println!("== Permutation network / controlling unit ==");
-    let cu = ControlUnit::new(Permutation::transpose(8, 8)?, 8)?;
-    let naive = cu.read_schedule(BankSkew::None);
-    let skewed = cu.read_schedule(BankSkew::Diagonal);
-    println!(
-        "8x8 transpose on 8 lanes: naive banking stalls {} extra cycles, \
-         diagonal skew stalls {}",
-        naive.total_stalls(),
-        skewed.total_stalls()
     );
     println!();
 

@@ -7,7 +7,7 @@
 //! The substance lives in the member crates:
 //!
 //! * [`mem3d`] — cycle-level 3D (HMC-like) memory simulator;
-//! * [`permute`] — permutation networks, crossbars, skewed buffers;
+//! * [`permute`] — the FFT kernel's permutations and streaming permuter;
 //! * [`fft_kernel`] — reference FFTs + the structural streaming kernel;
 //! * [`layout`] — data layouts and the Eq. (1) optimizer;
 //! * [`fpga_model`] — FPGA resource/frequency model;

@@ -7,28 +7,11 @@ use layout::{
     MatrixLayout, RowMajor,
 };
 use mem3d::{Direction, Geometry, MemorySystem, Picos, RequestSource, TimingParams};
-use permute::{Permutation, StreamingPermuter, TileTransposer};
+use permute::{Permutation, StreamingPermuter};
 use sim_util::{prop_assert, prop_assert_eq, prop_assume, prop_check};
 
 fn params(n: usize) -> LayoutParams {
     LayoutParams::for_device(n, &Geometry::default(), &TimingParams::default())
-}
-
-#[test]
-fn tile_transposer_agrees_with_transpose_permutation() {
-    let p = 8;
-    let perm = Permutation::transpose(p, p).unwrap();
-    let data: Vec<u32> = (0..(p * p) as u32).collect();
-    // Via the permutation object.
-    let flat = perm.apply(&data);
-    // Via the skewed-buffer hardware model.
-    let mut tr = TileTransposer::new(p);
-    let mut out = None;
-    for row in data.chunks(p) {
-        out = tr.push_row(row).unwrap();
-    }
-    let tiles: Vec<u32> = out.unwrap().into_iter().flatten().collect();
-    assert_eq!(tiles, flat);
 }
 
 #[test]

@@ -5,7 +5,6 @@
 use fft2d::{Architecture, PlatformEnergy, System, SystemConfig};
 use fft_kernel::{Cplx, KernelConfig, StreamingFft};
 use mem3d::{Geometry, MemorySystem, Picos, TimingParams};
-use permute::{BenesNetwork, Permutation};
 
 #[test]
 fn tiny_matrices_still_work_end_to_end() {
@@ -68,19 +67,6 @@ fn kernel_width_one_lane_is_valid_and_correct() {
     let got = k.transform(&x).unwrap();
     let expect = fft_kernel::fft(&x, fft_kernel::FftDirection::Forward).unwrap();
     assert!(fft_kernel::max_abs_diff(&got, &expect) < 1e-10);
-}
-
-#[test]
-fn benes_network_carries_kernel_width_permutations() {
-    // The unscrambling permutation of an N=64 radix-4 kernel, folded to
-    // the 8-lane datapath width, routes through a Beneš network.
-    let net = BenesNetwork::new(8).unwrap();
-    for s in [1usize, 2, 4, 8] {
-        let perm = Permutation::stride(8, s).unwrap();
-        let prog = net.route(&perm).unwrap();
-        let data: Vec<u32> = (0..8).collect();
-        assert_eq!(net.apply(&prog, &data), perm.apply(&data));
-    }
 }
 
 #[test]
